@@ -148,8 +148,7 @@ int main(int argc, char** argv) {
 
   cluster::ClusterConfig cluster_config;
   cluster_config.shards = args.shards;
-  cluster_config.server.runtime.num_threads =
-      static_cast<int>(args.threads);
+  cluster_config.server.runtime.num_threads = args.threads;
   cluster::ShardRouter router(model, cluster_config);
 
   net::SocketServerConfig frontend_config;

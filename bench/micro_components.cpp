@@ -2,6 +2,8 @@
 // blocks the end-to-end numbers in Figs. 4-6 / Table III decompose into.
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+
 #include "columbus/columbus.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
@@ -12,6 +14,7 @@
 #include "ml/word2vec.hpp"
 #include "pkg/dataset.hpp"
 #include "pkg/installer.hpp"
+#include "service/transport.hpp"
 
 using namespace praxi;
 
@@ -37,6 +40,75 @@ void BM_Murmur3_32(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Murmur3_32);
+
+// CRC32C over one ~6 KB report frame: the dispatched crc32c() (hardware
+// where the CPU has it) against the portable table it falls back to.
+// bytes_per_second is the MB/s figure.
+std::string crc_input() {
+  std::string bytes(6058, '\0');
+  Rng rng(3);
+  for (auto& c : bytes) c = static_cast<char>(rng.next() & 0xFF);
+  return bytes;
+}
+
+void BM_Crc32c(benchmark::State& state) {
+  const std::string bytes = crc_input();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32c(bytes));
+  }
+  state.SetBytesProcessed(int64_t(state.iterations()) * int64_t(bytes.size()));
+}
+BENCHMARK(BM_Crc32c);
+
+void BM_Crc32cTable(benchmark::State& state) {
+  const std::string bytes = crc_input();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detail::crc32c_table(bytes));
+  }
+  state.SetBytesProcessed(int64_t(state.iterations()) * int64_t(bytes.size()));
+}
+BENCHMARK(BM_Crc32cTable);
+
+// Decoding one report frame of about 6 KB (the install-wave size): the v1
+// frame materialized (two CRC passes, one string per record) against the
+// v2 frame decoded to the view the server ingests.
+service::ChangesetReport decode_input() {
+  // The corpus changeset whose frame is closest to 6 KB.
+  service::ChangesetReport report;
+  report.agent_id = "agent-000042";
+  report.sequence = 7;
+  const fs::Changeset* best = nullptr;
+  std::size_t best_distance = SIZE_MAX;
+  for (const auto& cs : corpus().changesets) {
+    report.changeset = cs;
+    const auto size = static_cast<std::ptrdiff_t>(report.to_wire().size());
+    const auto distance = static_cast<std::size_t>(std::abs(size - 6000));
+    if (distance < best_distance) {
+      best_distance = distance;
+      best = &cs;
+    }
+  }
+  report.changeset = *best;
+  return report;
+}
+
+void BM_ReportFromWireV1(benchmark::State& state) {
+  const std::string wire = decode_input().to_wire_v1();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service::ChangesetReport::from_wire(wire));
+  }
+  state.counters["frame_bytes"] = static_cast<double>(wire.size());
+}
+BENCHMARK(BM_ReportFromWireV1)->Unit(benchmark::kMicrosecond);
+
+void BM_ReportViewWireV2(benchmark::State& state) {
+  const std::string wire = decode_input().to_wire();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service::ChangesetReport::view_wire(wire));
+  }
+  state.counters["frame_bytes"] = static_cast<double>(wire.size());
+}
+BENCHMARK(BM_ReportViewWireV2)->Unit(benchmark::kMicrosecond);
 
 void BM_FrequencyTrieInsert(benchmark::State& state) {
   std::vector<std::string> tokens;

@@ -147,7 +147,10 @@ int main(int argc, char** argv) {
   report.agent_id = "vm-042";
   report.sequence = 7;
   report.changeset = corpus[1];
-  emit("prpt", "vm042", report.to_wire());
+  // The v1 frame older agents send (nested "PCS1" envelope) and the v2
+  // frame this build writes, so the harness covers both decode paths.
+  emit("prpt", "vm042", report.to_wire_v1());
+  emit("prpt", "vm042-v2", report.to_wire());
 
   // WAL segment seeds (fuzz_wal.cpp): first byte = mode flags (bit0 =
   // last-segment), then a record stream. One settle run, one snapshot that

@@ -60,13 +60,14 @@ class ShardTransport final : public service::Transport {
 
   // --- Router-facing producer side ---
 
-  void enqueue(std::string wire, bool from_ingress)
-      PRAXI_EXCLUDES(mutex_) {
+  /// `identity` is the frame's peek_identity(), read once by the router.
+  void enqueue(std::string wire,
+               std::optional<service::ReportIdentity> identity,
+               bool from_ingress) PRAXI_EXCLUDES(mutex_) {
     Entry entry;
-    entry.agent_id.clear();
-    if (auto id = service::ChangesetReport::peek_identity(wire)) {
-      entry.agent_id = std::move(id->agent_id);
-      entry.sequence = id->sequence;
+    if (identity) {
+      entry.agent_id = std::move(identity->agent_id);
+      entry.sequence = identity->sequence;
       entry.has_identity = true;
     }
     entry.wire = std::move(wire);
@@ -268,14 +269,18 @@ void ShardRouter::worker_loop(std::size_t index) {
 }
 
 void ShardRouter::route(std::string wire_bytes, bool from_ingress) {
-  const std::string agent_id =
-      service::ChangesetReport::peek_agent_id(wire_bytes);
+  // One identity parse per frame: it picks the shard here and keys the
+  // shard's in-flight table for settle matching.
+  auto identity = service::ChangesetReport::peek_identity(wire_bytes);
   // Unattributable frames still route deterministically (to the empty
   // key's owner) so the owning shard can count them malformed.
-  const std::uint32_t shard = ring_.shard_for(agent_id);
+  const std::uint32_t shard =
+      ring_.shard_for(identity ? std::string_view(identity->agent_id)
+                               : std::string_view());
   routed_frames_.fetch_add(1, std::memory_order_relaxed);
   routed_bytes_.fetch_add(wire_bytes.size(), std::memory_order_relaxed);
-  shards_[shard]->transport->enqueue(std::move(wire_bytes), from_ingress);
+  shards_[shard]->transport->enqueue(std::move(wire_bytes),
+                                     std::move(identity), from_ingress);
 }
 
 void ShardRouter::send(std::string wire_bytes) {

@@ -74,6 +74,35 @@ TagSet materialize(std::span<const TagView> ranked) {
   return ts;
 }
 
+/// The one changeset -> tagset path, for both an owning Changeset
+/// (ChangeRecord) and a decoded wire view (ChangeRecordView).
+template <typename Records, typename Labels>
+TagSet extract_records(const Columbus& columbus, const Records& records,
+                       const Labels& labels, ExtractionScratch& scratch) {
+  scratch.begin();
+  for (const auto& rec : records) {
+    scratch.paths.push_back(PathRef{rec.path, rec.executable()});
+  }
+  TagSet ts = materialize(columbus.extract_ranked(scratch));
+  ts.labels.assign(labels.begin(), labels.end());
+  return ts;
+}
+
+/// Batch form: items are independent (§III-B), so they run concurrently on
+/// `pool`. Each worker reuses its own thread-local scratch: pool threads
+/// are long-lived, so after one warmup item per worker the batch's
+/// pipeline work allocates nothing beyond the output tagsets.
+template <typename Item>
+std::vector<TagSet> extract_batch(const Columbus& columbus,
+                                  std::span<const Item* const> items,
+                                  ThreadPool* pool) {
+  std::vector<TagSet> out(items.size());
+  parallel_for(pool, items.size(), [&](std::size_t i) {
+    out[i] = columbus.extract(*items[i], tls_extraction_scratch());
+  });
+  return out;
+}
+
 }  // namespace
 
 Columbus::Columbus(ColumbusConfig config) : config_(config) {}
@@ -84,25 +113,24 @@ TagSet Columbus::extract(const fs::Changeset& changeset) const {
 
 TagSet Columbus::extract(const fs::Changeset& changeset,
                          ExtractionScratch& scratch) const {
-  scratch.begin();
-  for (const auto& rec : changeset.records()) {
-    scratch.paths.push_back(PathRef{rec.path, rec.executable()});
-  }
-  TagSet ts = materialize(extract_ranked(scratch));
-  ts.labels = changeset.labels();
-  return ts;
+  return extract_records(*this, changeset.records(), changeset.labels(),
+                         scratch);
+}
+
+TagSet Columbus::extract(const fs::ChangesetView& changeset,
+                         ExtractionScratch& scratch) const {
+  return extract_records(*this, changeset.records, changeset.labels, scratch);
 }
 
 std::vector<TagSet> Columbus::extract(
     std::span<const fs::Changeset* const> changesets, ThreadPool* pool) const {
-  std::vector<TagSet> out(changesets.size());
-  // Each worker reuses its own thread-local scratch: pool threads are
-  // long-lived, so after one warmup item per worker the batch's pipeline
-  // work allocates nothing beyond the output tagsets.
-  parallel_for(pool, changesets.size(), [&](std::size_t i) {
-    out[i] = extract(*changesets[i], tls_extraction_scratch());
-  });
-  return out;
+  return extract_batch(*this, changesets, pool);
+}
+
+std::vector<TagSet> Columbus::extract(
+    std::span<const fs::ChangesetView* const> changesets,
+    ThreadPool* pool) const {
+  return extract_batch(*this, changesets, pool);
 }
 
 TagSet Columbus::extract_from_paths(const std::vector<std::string>& paths,

@@ -65,6 +65,16 @@ class Columbus {
   std::vector<TagSet> extract(std::span<const fs::Changeset* const> changesets,
                               ThreadPool* pool = nullptr) const;
 
+  /// The same three entry points over decoded wire views (the server's
+  /// ingest path): paths go from the view straight into the scratch, no
+  /// Changeset is built, and the tags are identical to extracting the
+  /// materialized changeset.
+  TagSet extract(const fs::ChangesetView& changeset,
+                 ExtractionScratch& scratch) const;
+  std::vector<TagSet> extract(
+      std::span<const fs::ChangesetView* const> changesets,
+      ThreadPool* pool = nullptr) const;
+
   /// Core primitive: tags from an explicit path list. `executable[i]` marks
   /// paths feeding FT_exec (pass an empty vector when unknown).
   TagSet extract_from_paths(const std::vector<std::string>& paths,

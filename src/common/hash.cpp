@@ -2,6 +2,15 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#define PRAXI_CRC32C_SSE42 1
+#elif defined(__aarch64__) && defined(__ARM_FEATURE_CRC32) && \
+    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+#include <arm_acle.h>
+#define PRAXI_CRC32C_ARMV8 1
+#endif
+
 namespace praxi {
 namespace {
 
@@ -44,7 +53,7 @@ inline std::uint64_t load64(const char* p) noexcept {
 }
 
 /// 256-entry lookup table for the reflected Castagnoli polynomial.
-const std::uint32_t* crc32c_table() noexcept {
+const std::uint32_t* crc32c_lookup() noexcept {
   static const auto table = [] {
     static std::uint32_t t[256];
     for (std::uint32_t i = 0; i < 256; ++i) {
@@ -59,15 +68,81 @@ const std::uint32_t* crc32c_table() noexcept {
   return table;
 }
 
+#if defined(PRAXI_CRC32C_SSE42)
+
+// Compiled for SSE4.2 without a global -msse4.2: only called after
+// __builtin_cpu_supports("sse4.2") said yes. Bytes up to the first 8-byte
+// boundary, then one crc32 instruction per 8 bytes, then the tail.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
+    std::string_view data, std::uint32_t seed) noexcept {
+  const char* p = data.data();
+  std::size_t n = data.size();
+  std::uint32_t crc = ~seed;
+  while (n > 0 && (reinterpret_cast<std::uintptr_t>(p) & 7u) != 0) {
+    crc = _mm_crc32_u8(crc, static_cast<unsigned char>(*p++));
+    --n;
+  }
+  std::uint64_t wide = crc;
+  for (; n >= 8; n -= 8, p += 8) wide = _mm_crc32_u64(wide, load64(p));
+  crc = static_cast<std::uint32_t>(wide);
+  while (n > 0) {
+    crc = _mm_crc32_u8(crc, static_cast<unsigned char>(*p++));
+    --n;
+  }
+  return ~crc;
+}
+
+#elif defined(PRAXI_CRC32C_ARMV8)
+
+std::uint32_t crc32c_armv8(std::string_view data,
+                           std::uint32_t seed) noexcept {
+  const char* p = data.data();
+  std::size_t n = data.size();
+  std::uint32_t crc = ~seed;
+  while (n > 0 && (reinterpret_cast<std::uintptr_t>(p) & 7u) != 0) {
+    crc = __crc32cb(crc, static_cast<std::uint8_t>(*p++));
+    --n;
+  }
+  for (; n >= 8; n -= 8, p += 8) crc = __crc32cd(crc, load64(p));
+  while (n > 0) {
+    crc = __crc32cb(crc, static_cast<std::uint8_t>(*p++));
+    --n;
+  }
+  return ~crc;
+}
+
+#endif
+
+using Crc32cFn = std::uint32_t (*)(std::string_view, std::uint32_t) noexcept;
+
+Crc32cFn select_crc32c() noexcept {
+#if defined(PRAXI_CRC32C_SSE42)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return &crc32c_sse42;
+#elif defined(PRAXI_CRC32C_ARMV8)
+  return &crc32c_armv8;
+#endif
+  return &detail::crc32c_table;
+}
+
 }  // namespace
 
-std::uint32_t crc32c(std::string_view data, std::uint32_t seed) noexcept {
-  const std::uint32_t* table = crc32c_table();
+namespace detail {
+
+std::uint32_t crc32c_table(std::string_view data, std::uint32_t seed) noexcept {
+  const std::uint32_t* table = crc32c_lookup();
   std::uint32_t crc = ~seed;
   for (const char ch : data) {
     crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
+}
+
+}  // namespace detail
+
+std::uint32_t crc32c(std::string_view data, std::uint32_t seed) noexcept {
+  static const Crc32cFn impl = select_crc32c();
+  return impl(data, seed);
 }
 
 std::uint32_t murmur3_32(std::string_view data, std::uint32_t seed) noexcept {

@@ -21,7 +21,19 @@ std::uint64_t murmur3_128_low64(std::string_view data, std::uint64_t seed = 0) n
 /// by the snapshot envelope (common/serialize.hpp) to detect torn writes and
 /// bit rot in persisted models, stores, and wire messages. `seed` is the
 /// running CRC for incremental use: crc32c(b, crc32c(a)) == crc32c(a + b).
+///
+/// The implementation is chosen once, at the first call: the SSE4.2 `crc32`
+/// instruction when the CPU has it (x86), the ARMv8 CRC32 instructions when
+/// the compiler targets them, else detail::crc32c_table. Every path returns
+/// the same value, so no persisted or wire format depends on the host.
 std::uint32_t crc32c(std::string_view data, std::uint32_t seed = 0) noexcept;
+
+namespace detail {
+/// The portable byte-at-a-time lookup-table CRC-32C: the fallback of
+/// crc32c() and the reference its hardware paths are tested against.
+std::uint32_t crc32c_table(std::string_view data,
+                           std::uint32_t seed = 0) noexcept;
+}  // namespace detail
 
 /// Stable non-cryptographic combiner for incremental digests.
 constexpr std::uint64_t hash_combine(std::uint64_t h, std::uint64_t v) noexcept {

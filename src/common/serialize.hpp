@@ -115,10 +115,14 @@ class BinaryReader {
     return value;
   }
 
-  std::string get_string() {
+  std::string get_string() { return std::string(get_string_view()); }
+
+  /// Like get_string, but returns a view into the decoded buffer: valid
+  /// only as long as the bytes passed to the constructor.
+  std::string_view get_string_view() {
     const auto len = get<std::uint32_t>();
     require(len);
-    std::string s(data_.substr(pos_, len));
+    const std::string_view s = data_.substr(pos_, len);
     pos_ += len;
     return s;
   }

@@ -28,45 +28,87 @@ void DiscoveryService::on_fs_event(const fs::FsEvent& event) {
   }
 }
 
-std::size_t DiscoveryService::infer_quantity(
-    const fs::Changeset& changeset, const DiscoveryServiceConfig& config) {
-  // "Counting local maxima in the number of filesystem changes over time"
-  // (§V-B): bucket the record timeline into one-second bins, mark bins that
-  // hold at least hot_bucket_records changes as installation-grade activity,
-  // and count maximal hot runs (tolerating up to burst_gap_s of cold time
-  // inside a run — compiles and unpack pauses). Sparse background noise
-  // never heats a bucket, so it cannot bridge or fake a burst.
-  const auto& records = changeset.records();
-  if (records.empty()) return 0;
+namespace {
 
-  const std::int64_t t0 = records.front().time_ms;
-  const std::size_t buckets =
-      static_cast<std::size_t>((records.back().time_ms - t0) / 1000) + 1;
-  std::vector<std::uint32_t> histogram(buckets, 0);
-  for (const auto& rec : records) {
-    ++histogram[static_cast<std::size_t>((rec.time_ms - t0) / 1000)];
-  }
+/// "Counting local maxima in the number of filesystem changes over time"
+/// (§V-B): bucket the record timeline into one-second bins, mark bins that
+/// hold at least hot_bucket_records changes as installation-grade activity,
+/// and count maximal hot runs (tolerating up to burst_gap_s of cold time
+/// inside a run — compiles and unpack pauses). Sparse background noise
+/// never heats a bucket, so it cannot bridge or fake a burst.
+///
+/// One pass over the time-ordered records: each run of records sharing a
+/// bin is one bin visit, and the empty bins between two runs are visited
+/// at once — the same count as a dense per-bin histogram, without one.
+template <typename Records>
+std::size_t count_bursts(const Records& records,
+                         const DiscoveryServiceConfig& config) {
+  if (records.empty()) return 0;
 
   const auto max_cold = static_cast<std::size_t>(config.burst_gap_s);
   std::size_t bursts = 0;
   std::size_t run_records = 0;  // records in the current hot run
   std::size_t cold_streak = 0;
   bool in_run = false;
-  for (std::size_t b = 0; b < buckets; ++b) {
-    if (histogram[b] >= config.hot_bucket_records) {
+  auto end_run = [&] {
+    if (run_records >= config.burst_min_records) ++bursts;
+    in_run = false;
+    run_records = 0;
+  };
+  auto visit_bin = [&](std::size_t changes) {
+    if (changes >= config.hot_bucket_records) {
       in_run = true;
       cold_streak = 0;
-      run_records += histogram[b];
+      run_records += changes;
+    } else if (in_run && ++cold_streak > max_cold) {
+      end_run();
+    }
+  };
+  auto visit_empty_bins = [&](std::uint64_t bins) {
+    if (bins == 0) return;
+    if (config.hot_bucket_records == 0) {  // every bin is hot
+      in_run = true;
+      cold_streak = 0;
     } else if (in_run) {
-      if (++cold_streak > max_cold) {
-        if (run_records >= config.burst_min_records) ++bursts;
-        in_run = false;
-        run_records = 0;
+      if (bins > max_cold - cold_streak) {
+        end_run();
+      } else {
+        cold_streak += bins;
       }
     }
+  };
+
+  // Unsigned offsets: well defined for any int64 times, and equal to the
+  // signed difference whenever the records are in time order.
+  const auto t0 = static_cast<std::uint64_t>(records.front().time_ms);
+  std::uint64_t bin = 0;
+  std::size_t changes = 0;
+  for (const auto& rec : records) {
+    const std::uint64_t b =
+        (static_cast<std::uint64_t>(rec.time_ms) - t0) / 1000;
+    if (b != bin) {
+      visit_bin(changes);
+      visit_empty_bins(b > bin ? b - bin - 1 : 0);
+      bin = b;
+      changes = 0;
+    }
+    ++changes;
   }
-  if (in_run && run_records >= config.burst_min_records) ++bursts;
+  visit_bin(changes);
+  if (in_run) end_run();
   return bursts;
+}
+
+}  // namespace
+
+std::size_t DiscoveryService::infer_quantity(
+    const fs::Changeset& changeset, const DiscoveryServiceConfig& config) {
+  return count_bursts(changeset.records(), config);
+}
+
+std::size_t DiscoveryService::infer_quantity(
+    const fs::ChangesetView& changeset, const DiscoveryServiceConfig& config) {
+  return count_bursts(changeset.records, config);
 }
 
 DiscoveryEvent DiscoveryService::classify(fs::Changeset changeset) {

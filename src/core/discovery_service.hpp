@@ -76,8 +76,14 @@ class DiscoveryService final : public fs::EventSink {
   DiscoveryEvent sample_now();
 
   /// Counts installation-sized change bursts in a changeset — the
-  /// quantity-prediction step. Exposed for tests and benches.
+  /// quantity-prediction step. Exposed for tests and benches. Records must
+  /// be in time order, as close() leaves them; the count is then exact.
+  /// Out-of-order records (hostile input) give some count without UB and
+  /// without allocating.
   static std::size_t infer_quantity(const fs::Changeset& changeset,
+                                    const DiscoveryServiceConfig& config);
+  /// The same screen over a decoded wire view (server ingest).
+  static std::size_t infer_quantity(const fs::ChangesetView& changeset,
                                     const DiscoveryServiceConfig& config);
 
   const Praxi& model() const { return model_; }

@@ -51,6 +51,12 @@ std::vector<columbus::TagSet> ModelSnapshot::extract_tags(
   return columbus_.extract(changesets, pool);
 }
 
+std::vector<columbus::TagSet> ModelSnapshot::extract_tags(
+    std::span<const fs::ChangesetView* const> changesets,
+    ThreadPool* pool) const {
+  return columbus_.extract(changesets, pool);
+}
+
 std::vector<std::string> ModelSnapshot::predict(const fs::Changeset& changeset,
                                                 std::size_t n) const {
   return predict_tags(extract_tags(changeset), n);

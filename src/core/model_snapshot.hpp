@@ -73,6 +73,11 @@ class ModelSnapshot {
   std::vector<columbus::TagSet> extract_tags(
       std::span<const fs::Changeset* const> changesets,
       ThreadPool* pool = nullptr) const;
+  /// Batch extraction straight from decoded wire views (server ingest);
+  /// tags identical to extracting the materialized changesets.
+  std::vector<columbus::TagSet> extract_tags(
+      std::span<const fs::ChangesetView* const> changesets,
+      ThreadPool* pool = nullptr) const;
   ml::FeatureVector features_of(const columbus::TagSet& tagset) const {
     return hash_tagset_features(hasher_, tagset);
   }

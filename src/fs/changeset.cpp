@@ -126,8 +126,7 @@ constexpr std::size_t kMinRecordBytes = 1 + 2 + 8 + 4;
 
 }  // namespace
 
-std::string Changeset::to_binary() const {
-  BinaryWriter w;
+void Changeset::write_fields(BinaryWriter& w) const {
   w.put<std::int64_t>(open_time_ms_);
   w.put<std::int64_t>(close_time_ms_);
   w.put<std::uint8_t>(closed_ ? 1 : 0);
@@ -140,32 +139,27 @@ std::string Changeset::to_binary() const {
     w.put<std::int64_t>(rec.time_ms);
     w.put_string(rec.path);
   }
-  return seal_snapshot(kChangesetMagic, kChangesetVersion, w.bytes());
 }
 
-Changeset Changeset::from_binary(std::string_view bytes) {
-  const Snapshot snap =
-      open_snapshot(bytes, kChangesetMagic, kChangesetVersion,
-                    kChangesetVersion);
-  BinaryReader r(snap.payload);
-  Changeset cs;
-  cs.open_time_ms_ = r.get<std::int64_t>();
-  cs.close_time_ms_ = r.get<std::int64_t>();
-  cs.closed_ = r.get<std::uint8_t>() != 0;
+ChangesetView Changeset::read_fields(BinaryReader& r) {
+  ChangesetView view;
+  view.open_time_ms = r.get<std::int64_t>();
+  view.close_time_ms = r.get<std::int64_t>();
+  view.closed = r.get<std::uint8_t>() != 0;
   const auto nlabels = r.get<std::uint32_t>();
   if (nlabels > r.remaining() / sizeof(std::uint32_t)) {
     throw SerializeError("changeset label count out of range", r.position());
   }
-  cs.labels_.reserve(nlabels);
+  view.labels.reserve(nlabels);
   for (std::uint32_t i = 0; i < nlabels; ++i)
-    cs.labels_.push_back(r.get_string());
+    view.labels.push_back(r.get_string_view());
   const auto nrecords = r.get<std::uint64_t>();
   if (nrecords > r.remaining() / kMinRecordBytes) {
     throw SerializeError("changeset record count out of range", r.position());
   }
-  cs.records_.reserve(nrecords);
+  view.records.reserve(nrecords);
   for (std::uint64_t i = 0; i < nrecords; ++i) {
-    ChangeRecord rec;
+    ChangeRecordView rec;
     const auto kind = r.get<std::uint8_t>();
     if (kind > static_cast<std::uint8_t>(ChangeKind::kDelete)) {
       throw SerializeError("changeset record has bad change kind " +
@@ -175,11 +169,44 @@ Changeset Changeset::from_binary(std::string_view bytes) {
     rec.kind = static_cast<ChangeKind>(kind);
     rec.mode = r.get<std::uint16_t>();
     rec.time_ms = r.get<std::int64_t>();
-    rec.path = r.get_string();
-    cs.records_.push_back(std::move(rec));
+    rec.path = r.get_string_view();
+    view.records.push_back(rec);
   }
-  r.require_end("changeset");
+  return view;
+}
+
+Changeset Changeset::from_view(const ChangesetView& view) {
+  Changeset cs;
+  cs.open_time_ms_ = view.open_time_ms;
+  cs.close_time_ms_ = view.close_time_ms;
+  cs.closed_ = view.closed;
+  cs.labels_.assign(view.labels.begin(), view.labels.end());
+  cs.records_.reserve(view.records.size());
+  for (const ChangeRecordView& rec : view.records) {
+    cs.records_.push_back(
+        ChangeRecord{std::string(rec.path), rec.mode, rec.kind, rec.time_ms});
+  }
   return cs;
+}
+
+std::string Changeset::to_binary() const {
+  BinaryWriter w;
+  write_fields(w);
+  return seal_snapshot(kChangesetMagic, kChangesetVersion, w.bytes());
+}
+
+ChangesetView Changeset::view_binary(std::string_view bytes) {
+  const Snapshot snap =
+      open_snapshot(bytes, kChangesetMagic, kChangesetVersion,
+                    kChangesetVersion);
+  BinaryReader r(snap.payload);
+  ChangesetView view = read_fields(r);
+  r.require_end("changeset");
+  return view;
+}
+
+Changeset Changeset::from_binary(std::string_view bytes) {
+  return from_view(view_binary(bytes));
 }
 
 Changeset synthesize_multi(std::span<const Changeset* const> parts) {

@@ -14,6 +14,11 @@
 #include <string_view>
 #include <vector>
 
+namespace praxi {
+class BinaryReader;
+class BinaryWriter;
+}  // namespace praxi
+
 namespace praxi::fs {
 
 enum class ChangeKind : std::uint8_t {
@@ -34,6 +39,32 @@ struct ChangeRecord {
   bool executable() const { return (mode & 0111) != 0; }
 
   friend bool operator==(const ChangeRecord&, const ChangeRecord&) = default;
+};
+
+/// A ChangeRecord decoded in place: `path` views the buffer it was decoded
+/// from, so it is valid only while that buffer lives. Same field names as
+/// ChangeRecord, so code templated on the record type serves both.
+struct ChangeRecordView {
+  std::string_view path;
+  std::uint16_t mode = 0;
+  ChangeKind kind = ChangeKind::kCreate;
+  std::int64_t time_ms = 0;
+
+  bool executable() const { return (mode & 0111) != 0; }
+};
+
+/// The fields of a serialized changeset, decoded and bounds-checked but not
+/// copied: labels and record paths view the decoded buffer. Ingest screens
+/// and extracts from this directly; Changeset::from_view copies it.
+struct ChangesetView {
+  std::int64_t open_time_ms = 0;
+  std::int64_t close_time_ms = 0;
+  bool closed = false;
+  std::vector<std::string_view> labels;
+  std::vector<ChangeRecordView> records;
+
+  std::size_t size() const { return records.size(); }
+  bool empty() const { return records.empty(); }
 };
 
 class Changeset {
@@ -70,9 +101,23 @@ class Changeset {
   std::string to_text() const;
   static Changeset from_text(std::string_view text);
 
-  /// Compact binary round-trip (BinaryWriter format).
+  /// Compact binary round-trip: the changeset fields (write_fields) in a
+  /// "PCS1" snapshot envelope.
   std::string to_binary() const;
   static Changeset from_binary(std::string_view bytes);
+
+  /// The changeset fields without an envelope — the "PCS1" payload, also
+  /// carried inline by the "PRPT" v2 wire report (docs/PERSISTENCE.md).
+  void write_fields(BinaryWriter& w) const;
+  /// The one parser of those fields: validates every count, kind and
+  /// length against the bytes left in `r` and returns views into them.
+  static ChangesetView read_fields(BinaryReader& r);
+  /// from_binary without the copy: opens the "PCS1" envelope and returns
+  /// read_fields over its payload, views into `bytes`.
+  static ChangesetView view_binary(std::string_view bytes);
+  /// Copies a decoded view into an owning Changeset, fields as decoded
+  /// (records keep their wire order; closed() is the decoded flag).
+  static Changeset from_view(const ChangesetView& view);
 
   friend bool operator==(const Changeset&, const Changeset&) = default;
 

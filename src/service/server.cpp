@@ -131,7 +131,7 @@ WalState DiscoveryServer::current_wal_state() const {
 }
 
 void DiscoveryServer::evict_idle_agents(
-    const std::set<std::string>& active_agents) {
+    const std::set<std::string_view>& active_agents) {
   const std::size_t bound = config_.max_resident_agents;
   if (bound == 0) return;
   for (auto it = sequences_.begin();
@@ -238,9 +238,13 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
   // Acceptance is only *previewed* here — the tracker is mutated at settle
   // time (phase 3) — so a throw during classification leaves no trace and
   // the unacked frames' resends are processed fresh (docs/DURABILITY.md).
+  //
+  // Frames decode to validated views into `wires`, which lives until this
+  // call returns: ingest screens and extracts straight from the wire bytes
+  // and never builds an fs::Changeset.
   struct PendingReport {
     Discovery discovery;
-    fs::Changeset changeset;
+    fs::ChangesetView changeset;
     const std::string* wire = nullptr;
     std::size_t n = 1;
     bool classify = false;     ///< non-empty, non-noise: goes into the batch
@@ -256,14 +260,14 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
   std::vector<const std::string*> settled;
   settled.reserve(wires.size());
   // Identities staged this batch, to catch within-batch redelivery while
-  // the trackers stay untouched.
-  std::set<std::pair<std::string, std::uint64_t>> staged;
+  // the trackers stay untouched. Views into `wires`.
+  std::set<std::pair<std::string_view, std::uint64_t>> staged;
   // Agents that showed up in this batch — exempt from idle eviction below.
-  std::set<std::string> active_agents;
+  std::set<std::string_view> active_agents;
   for (const std::string& wire : wires) {
-    ChangesetReport report;
+    ReportView report;
     try {
-      report = ChangesetReport::from_wire(wire);
+      report = ChangesetReport::view_wire(wire);
     } catch (const VersionError&) {
       // Structurally sound frame from an agent speaking another format
       // version (fleet mid-upgrade) — distinct from corruption. Resending
@@ -275,15 +279,16 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
       counters_for_wire(wire).malformed->inc();
       continue;
     }
+    std::string agent_id(report.agent_id);
     active_agents.insert(report.agent_id);
-    const auto verdict = tracker_for(report.agent_id).preview(report.sequence);
+    const auto verdict = tracker_for(agent_id).preview(report.sequence);
     if (verdict == SequenceTracker::Admit::kDuplicate ||
         staged.count({report.agent_id, report.sequence}) > 0) {
       // At-least-once wire redelivered a report this server already
       // processed (retry after a lost ack, a duplicating network, or an
       // agent restart replaying its journal). Exactly-once processing:
       // count it, settle it, skip it.
-      counters_for(report.agent_id).duplicate->inc();
+      counters_for(agent_id).duplicate->inc();
       settled.push_back(&wire);
       continue;
     }
@@ -291,17 +296,17 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
       // The agent's held-set cap is full (badly reordering or adversarial
       // wire). The frame is NOT settled — no ack — so it is redelivered
       // once the out-of-order window drains.
-      counters_for(report.agent_id).overflow->inc();
+      counters_for(agent_id).overflow->inc();
       continue;
     }
     staged.insert({report.agent_id, report.sequence});
 
     PendingReport item;
     item.wire = &wire;
-    item.discovery.agent_id = report.agent_id;
+    item.discovery.agent_id = std::move(agent_id);
     item.discovery.sequence = report.sequence;
-    item.discovery.open_time_ms = report.changeset.open_time_ms();
-    item.discovery.close_time_ms = report.changeset.close_time_ms();
+    item.discovery.open_time_ms = report.changeset.open_time_ms;
+    item.discovery.close_time_ms = report.changeset.close_time_ms;
     item.discovery.record_count = report.changeset.size();
     item.discovery.model_epoch = snap->epoch();
     if (!report.changeset.empty()) {
@@ -319,9 +324,9 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
   }
 
   // Phase 2 (concurrent): one tag extraction per report, reused for both
-  // prediction and the store — the changeset itself can be discarded after
-  // this point (Praxi never needs to regenerate features, §V-C).
-  std::vector<const fs::Changeset*> changesets;
+  // prediction and the store — the wire bytes are not needed after this
+  // point (Praxi never needs to regenerate features, §V-C).
+  std::vector<const fs::ChangesetView*> changesets;
   std::vector<std::size_t> counts;
   changesets.reserve(pending.size());
   counts.reserve(pending.size());
@@ -332,7 +337,7 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
     counts.push_back(item.n);
   }
   auto tagsets = snap->extract_tags(
-      std::span<const fs::Changeset* const>(changesets), model_.pool());
+      std::span<const fs::ChangesetView* const>(changesets), model_.pool());
   auto predictions =
       snap->predict_tags(std::span<const columbus::TagSet>(tagsets),
                          core::TopN(counts), model_.pool());

@@ -205,7 +205,7 @@ class DiscoveryServer {
   /// Full durable dedup state — resident trackers plus evicted floors —
   /// for WAL compaction snapshots.
   WalState current_wal_state() const PRAXI_REQUIRES(state_mutex_);
-  void evict_idle_agents(const std::set<std::string>& active_agents)
+  void evict_idle_agents(const std::set<std::string_view>& active_agents)
       PRAXI_REQUIRES(state_mutex_);
   void update_state_gauges() PRAXI_REQUIRES(state_mutex_);
 

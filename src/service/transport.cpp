@@ -8,21 +8,42 @@ std::string ChangesetReport::to_wire() const {
   BinaryWriter w;
   w.put_string(agent_id);
   w.put<std::uint64_t>(sequence);
-  w.put_string(changeset.to_binary());
+  changeset.write_fields(w);
   return seal_snapshot(kChangesetReportMagic, kChangesetReportVersion,
                        w.bytes());
 }
 
-ChangesetReport ChangesetReport::from_wire(std::string_view bytes) {
+std::string ChangesetReport::to_wire_v1() const {
+  BinaryWriter w;
+  w.put_string(agent_id);
+  w.put<std::uint64_t>(sequence);
+  w.put_string(changeset.to_binary());
+  return seal_snapshot(kChangesetReportMagic, 1, w.bytes());
+}
+
+ReportView ChangesetReport::view_wire(std::string_view bytes) {
   const Snapshot snap =
-      open_snapshot(bytes, kChangesetReportMagic, kChangesetReportVersion,
+      open_snapshot(bytes, kChangesetReportMagic, kChangesetReportMinVersion,
                     kChangesetReportVersion);
   BinaryReader r(snap.payload);
-  ChangesetReport report;
-  report.agent_id = r.get_string();
-  report.sequence = r.get<std::uint64_t>();
-  report.changeset = fs::Changeset::from_binary(r.get_string());
+  ReportView view;
+  view.agent_id = r.get_string_view();
+  view.sequence = r.get<std::uint64_t>();
+  // v1 nests a whole "PCS1" snapshot; v2 inlines its fields. Either way the
+  // same field parser runs.
+  view.changeset = snap.version == 1
+                       ? fs::Changeset::view_binary(r.get_string_view())
+                       : fs::Changeset::read_fields(r);
   r.require_end("changeset report");
+  return view;
+}
+
+ChangesetReport ChangesetReport::from_wire(std::string_view bytes) {
+  const ReportView view = view_wire(bytes);
+  ChangesetReport report;
+  report.agent_id = view.agent_id;
+  report.sequence = view.sequence;
+  report.changeset = fs::Changeset::from_view(view.changeset);
   return report;
 }
 

@@ -37,9 +37,12 @@ namespace praxi::service {
 
 /// Wire identity of a changeset report (snapshot envelope,
 /// docs/PERSISTENCE.md). Exposed so tests and ingest tooling can craft or
-/// recognize report frames without private knowledge.
+/// recognize report frames without private knowledge. Version 2 (written)
+/// carries the changeset fields inline; version 1 (still read) carries them
+/// as a nested "PCS1" snapshot, checksummed a second time.
 inline constexpr std::uint32_t kChangesetReportMagic = 0x50525054U;  // "PRPT"
-inline constexpr std::uint32_t kChangesetReportVersion = 1;
+inline constexpr std::uint32_t kChangesetReportVersion = 2;
+inline constexpr std::uint32_t kChangesetReportMinVersion = 1;
 
 /// Best-effort (agent, sequence) read out of a wire frame without full
 /// validation — see ChangesetReport::peek_identity.
@@ -48,19 +51,36 @@ struct ReportIdentity {
   std::uint64_t sequence = 0;
 };
 
+/// A report frame decoded in place (ChangesetReport::view_wire): the agent
+/// id, labels and record paths view the frame bytes, which must outlive it.
+struct ReportView {
+  std::string_view agent_id;
+  std::uint64_t sequence = 0;
+  fs::ChangesetView changeset;
+};
+
 /// One agent-to-server report: an observation window from one instance.
 struct ChangesetReport {
   std::string agent_id;
   std::uint64_t sequence = 0;  ///< per-agent monotonically increasing
   fs::Changeset changeset;
 
-  /// Serializes into a checksummed envelope frame.
+  /// Serializes into a checksummed envelope frame (format version 2).
   std::string to_wire() const;
 
-  /// Parses and strictly validates a frame. Throws SerializeError on
-  /// corruption of any kind, VersionError when the frame's format version
-  /// is unsupported — never UB, a crash, or an unbounded allocation.
+  /// The version-1 frame older agents send. Kept so compatibility tests,
+  /// the fuzz corpus and the decode bench can produce one.
+  std::string to_wire_v1() const;
+
+  /// Parses and strictly validates a frame of either version. Throws
+  /// SerializeError on corruption of any kind, VersionError when the
+  /// frame's format version is unsupported — never UB, a crash, or an
+  /// unbounded allocation.
   static ChangesetReport from_wire(std::string_view bytes);
+
+  /// from_wire without copying: the same validation, returning views into
+  /// `bytes` (the server's ingest path). from_wire is view_wire plus a copy.
+  static ReportView view_wire(std::string_view bytes);
 
   /// Best-effort agent attribution for frames from_wire rejected: returns
   /// the agent id if the frame's magic matches and an id string can be read

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
+#include "common/rng.hpp"
+
 #include "pkg/dataset.hpp"
 #include "pkg/installer.hpp"
 
@@ -218,6 +223,82 @@ TEST(InferQuantity, RealInstallersProduceOneBurstEach) {
 
   DiscoveryServiceConfig config;
   EXPECT_EQ(DiscoveryService::infer_quantity(cs, config), 2u);
+}
+
+/// The dense-histogram screen the one-pass infer_quantity replaced: one
+/// counter per one-second bin across the whole span. The reference the
+/// one-pass form must agree with on every time-ordered changeset.
+std::size_t dense_reference_quantity(const fs::Changeset& changeset,
+                                     const DiscoveryServiceConfig& config) {
+  const auto& records = changeset.records();
+  if (records.empty()) return 0;
+  const std::int64_t t0 = records.front().time_ms;
+  const auto buckets =
+      static_cast<std::size_t>((records.back().time_ms - t0) / 1000) + 1;
+  std::vector<std::uint32_t> histogram(buckets, 0);
+  for (const auto& rec : records) {
+    ++histogram[static_cast<std::size_t>((rec.time_ms - t0) / 1000)];
+  }
+  const auto max_cold = static_cast<std::size_t>(config.burst_gap_s);
+  std::size_t bursts = 0;
+  std::size_t run_records = 0;
+  std::size_t cold_streak = 0;
+  bool in_run = false;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    if (histogram[b] >= config.hot_bucket_records) {
+      in_run = true;
+      cold_streak = 0;
+      run_records += histogram[b];
+    } else if (in_run && ++cold_streak > max_cold) {
+      if (run_records >= config.burst_min_records) ++bursts;
+      in_run = false;
+      run_records = 0;
+    }
+  }
+  if (in_run && run_records >= config.burst_min_records) ++bursts;
+  return bursts;
+}
+
+TEST(InferQuantity, OnePassMatchesDenseHistogramOnRandomTimelines) {
+  Rng rng(20261017);
+  for (int trial = 0; trial < 2000; ++trial) {
+    DiscoveryServiceConfig config;
+    config.burst_gap_s = static_cast<double>(rng.next() % 10);
+    config.burst_min_records = rng.next() % 30;
+    config.hot_bucket_records = rng.next() % 7;  // 0: every bin is hot
+    fs::Changeset cs;
+    std::int64_t t = static_cast<std::int64_t>(rng.next() % 100'000) - 50'000;
+    const auto records = rng.next() % 200;
+    for (std::uint64_t i = 0; i < records; ++i) {
+      // Dense bursts, short pauses and long silences.
+      const auto step = rng.next() % 10;
+      t += step < 6 ? static_cast<std::int64_t>(rng.next() % 300)
+           : step < 9 ? static_cast<std::int64_t>(rng.next() % 12'000)
+                      : static_cast<std::int64_t>(rng.next() % 600'000);
+      cs.add(fs::ChangeRecord{"/f" + std::to_string(i), 0644,
+                              fs::ChangeKind::kCreate, t});
+    }
+    cs.close(t + 1);
+    ASSERT_EQ(DiscoveryService::infer_quantity(cs, config),
+              dense_reference_quantity(cs, config))
+        << "trial " << trial;
+  }
+}
+
+TEST(InferQuantity, HostileTimesNeitherAllocateBySpanNorOverflow) {
+  // A decoded frame's records need not be in time order, and its times can
+  // be anything: the screen must return without UB or a span-sized array.
+  fs::Changeset cs;
+  for (const std::int64_t t :
+       {std::numeric_limits<std::int64_t>::max(), std::int64_t{0},
+        std::numeric_limits<std::int64_t>::min(), std::int64_t{-1},
+        std::numeric_limits<std::int64_t>::max()}) {
+    cs.add(fs::ChangeRecord{"/x", 0644, fs::ChangeKind::kCreate, t});
+  }
+  DiscoveryServiceConfig config;
+  config.hot_bucket_records = 1;
+  config.burst_min_records = 1;
+  EXPECT_LE(DiscoveryService::infer_quantity(cs, config), cs.size());
 }
 
 }  // namespace

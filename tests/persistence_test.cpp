@@ -19,6 +19,7 @@
 #include "cli/cli.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
+#include "core/discovery_service.hpp"
 #include "core/praxi.hpp"
 #include "core/tagset_store.hpp"
 #include "fs/changeset.hpp"
@@ -132,6 +133,12 @@ std::vector<Artifact> all_artifacts() {
   report.changeset = corpus[1];
   artifacts.push_back(
       {"wire-report", report.to_wire(),
+       [](std::string_view b) { service::ChangesetReport::from_wire(b); }});
+  artifacts.push_back(
+      {"wire-report-view", report.to_wire(),
+       [](std::string_view b) { service::ChangesetReport::view_wire(b); }});
+  artifacts.push_back(
+      {"wire-report-v1", report.to_wire_v1(),
        [](std::string_view b) { service::ChangesetReport::from_wire(b); }});
 
   pkg::Dataset dataset;
@@ -337,6 +344,89 @@ TEST(FuzzRegression, WireReportRejectsHostileAgentIdLength) {
   });
   EXPECT_THROW(service::ChangesetReport::from_wire(bad), SerializeError);
   EXPECT_EQ(service::ChangesetReport::peek_agent_id(bad), "");
+}
+
+/// Decodes a frame the way the server does — view, screen, extract — and
+/// also materializes it. Anything but SerializeError escaping is a bug.
+void ingest_like_the_server(std::string_view wire) {
+  const auto view = service::ChangesetReport::view_wire(wire);
+  (void)core::DiscoveryService::infer_quantity(view.changeset, {});
+  columbus::Columbus columbus;
+  (void)columbus.extract(view.changeset, columbus::tls_extraction_scratch());
+  (void)service::ChangesetReport::from_wire(wire);
+}
+
+service::ChangesetReport hostile_input_report() {
+  service::ChangesetReport report;
+  report.agent_id = "vm-042";
+  report.sequence = 7;
+  report.changeset = make_changeset(
+      "redis", {"/usr/bin/redis-server", "/etc/redis/redis.conf",
+                "/usr/lib/redis/modules/bloom.so", "/var/lib/redis/dump.rdb"});
+  report.changeset.add_label("redis-tools");
+  return report;
+}
+
+TEST(WireReportV2, EveryTruncationThrowsOnlySerializeError) {
+  const std::string wire = hostile_input_report().to_wire();
+  ASSERT_NO_THROW(ingest_like_the_server(wire));
+  for (std::size_t keep = 0; keep < wire.size(); ++keep) {
+    EXPECT_THROW(ingest_like_the_server(std::string_view(wire).substr(0, keep)),
+                 SerializeError)
+        << "truncated to " << keep << " of " << wire.size();
+  }
+}
+
+TEST(WireReportV2, ResealedPayloadMutationsThrowOnlySerializeError) {
+  // Re-sealed, so every mutation passes the CRC and reaches the record
+  // parser's bounds checks (and, when it still parses, the screen and the
+  // extractor). A mutation may decode cleanly — a changed path byte is a
+  // valid report — but it must never escape as anything but SerializeError.
+  const std::string wire = hostile_input_report().to_wire();
+  const std::size_t payload_size = wire.size() - kSnapshotHeaderBytes;
+  Rng rng(20261017);
+  std::size_t rejected = 0;
+  constexpr int kTrials = 4000;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const auto mutated = reseal_mutated(wire, [&](std::string& p) {
+      switch (rng.next() % 4) {
+        case 0: {  // a burst of random byte flips
+          for (int k = 0, n = 1 + static_cast<int>(rng.next() % 4); k < n; ++k)
+            p[rng.next() % p.size()] ^= static_cast<char>(1 + rng.next() % 255);
+          break;
+        }
+        case 1: {  // a hostile u32 (string length, label count)
+          const std::uint32_t values[] = {0u, 1u, 0x7FFFFFFFu, 0xFFFFFFFFu,
+                                          static_cast<std::uint32_t>(
+                                              rng.next() % 512)};
+          overwrite<std::uint32_t>(p, rng.next() % (payload_size - 3),
+                                   values[rng.next() % 5]);
+          break;
+        }
+        case 2: {  // a hostile u64 (record count, times, sequence)
+          const std::uint64_t values[] = {
+              0u, 1u, ~std::uint64_t{0}, std::uint64_t{1} << 63,
+              static_cast<std::uint64_t>(rng.next())};
+          overwrite<std::uint64_t>(p, rng.next() % (payload_size - 7),
+                                   values[rng.next() % 5]);
+          break;
+        }
+        default:  // drop or append bytes: the length fields now lie
+          if (rng.next() % 2 == 0) {
+            p.erase(rng.next() % p.size(), 1 + rng.next() % 8);
+          } else {
+            p.append(1 + rng.next() % 8, static_cast<char>(rng.next()));
+          }
+      }
+    });
+    try {
+      ingest_like_the_server(mutated);
+    } catch (const SerializeError&) {
+      ++rejected;
+    }
+  }
+  // The suite must actually exercise the rejection paths.
+  EXPECT_GT(rejected, static_cast<std::size_t>(kTrials / 4));
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <filesystem>
 
 #include "common/hash.hpp"
+#include "common/rng.hpp"
 
 namespace praxi {
 namespace {
@@ -122,6 +123,57 @@ TEST(Crc32c, IncrementalMatchesOneShot) {
   const std::string a = "praxi-snapshot-";
   const std::string b = "payload-bytes";
   EXPECT_EQ(crc32c(b, crc32c(a)), crc32c(a + b));
+}
+
+TEST(Crc32c, KnownAnswerVectorOnTheTablePath) {
+  EXPECT_EQ(detail::crc32c_table("123456789"), 0xE3069283u);
+}
+
+TEST(Crc32c, DispatchedPathMatchesTableAtEveryLengthAndAlignment) {
+  // crc32c() may run on a hardware instruction that consumes 8 bytes at a
+  // time after an unaligned head; the table is the reference. Cover every
+  // head/body/tail split: lengths 0..4100 at start offsets 0..15, each with
+  // a random running seed.
+  constexpr std::size_t kMaxLen = 4100;
+  constexpr std::size_t kAlignments = 16;
+  Rng rng(20261017);
+  std::string buffer(kMaxLen + kAlignments, '\0');
+  for (auto& c : buffer) c = static_cast<char>(rng.next() & 0xFF);
+  std::size_t mismatches = 0;
+  std::string first;
+  for (std::size_t offset = 0; offset < kAlignments; ++offset) {
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const std::string_view data(buffer.data() + offset, len);
+      const auto seed = static_cast<std::uint32_t>(rng.next());
+      if (crc32c(data, seed) == detail::crc32c_table(data, seed)) continue;
+      if (mismatches++ == 0) {
+        first = "offset " + std::to_string(offset) + " len " +
+                std::to_string(len) + " seed " + std::to_string(seed);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first mismatch at " << first;
+}
+
+TEST(Crc32c, IncrementalMatchesOneShotAcrossTheBlockBoundary) {
+  // Split points around the 8-byte block the hardware path consumes, on
+  // both sides of the seam and at several base alignments.
+  Rng rng(7);
+  std::string buffer(64, '\0');
+  for (auto& c : buffer) c = static_cast<char>(rng.next() & 0xFF);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t total = 0; total <= 40; ++total) {
+      const std::string_view all(buffer.data() + offset, total);
+      for (std::size_t split = 0; split <= total; ++split) {
+        const auto a = all.substr(0, split);
+        const auto b = all.substr(split);
+        EXPECT_EQ(crc32c(b, crc32c(a)), crc32c(all))
+            << "offset " << offset << " split " << split << " of " << total;
+        EXPECT_EQ(detail::crc32c_table(b, detail::crc32c_table(a)),
+                  crc32c(all));
+      }
+    }
+  }
 }
 
 TEST(Crc32c, EveryScribbledByteChangesTheChecksum) {

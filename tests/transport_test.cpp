@@ -293,6 +293,72 @@ TEST(PeekIdentity, SurvivesTailTruncationButNotHeadDamage) {
           .has_value());
 }
 
+// ------------------------------------------------- PRPT v1/v2 wire forms --
+
+fs::Changeset labeled_changeset() {
+  fs::Changeset cs;
+  cs.set_open_time(-5);
+  cs.add(fs::ChangeRecord{"/usr/bin/tool", 0755, fs::ChangeKind::kCreate, 11});
+  cs.add(fs::ChangeRecord{"/etc/tool.conf", 0644, fs::ChangeKind::kModify, 12});
+  cs.add(fs::ChangeRecord{"/tmp/x", 0600, fs::ChangeKind::kDelete, 9000});
+  cs.add(fs::ChangeRecord{"", 0, fs::ChangeKind::kCreate, 9001});
+  cs.add_label("tool");
+  cs.add_label("tool-extras");
+  cs.close(9999);
+  return cs;
+}
+
+TEST(ReportWire, V1AndV2FramesDecodeToEqualReports) {
+  ChangesetReport report;
+  report.agent_id = "vm-compat";
+  report.sequence = 77;
+  report.changeset = labeled_changeset();
+  const std::string v1 = report.to_wire_v1();
+  const std::string v2 = report.to_wire();
+
+  // v2 drops the nested envelope: its u32 length prefix and 20-byte header.
+  EXPECT_EQ(v1.size() - v2.size(), sizeof(std::uint32_t) + kSnapshotHeaderBytes);
+
+  for (const std::string* wire : {&v1, &v2}) {
+    const ChangesetReport decoded = ChangesetReport::from_wire(*wire);
+    EXPECT_EQ(decoded.agent_id, report.agent_id);
+    EXPECT_EQ(decoded.sequence, report.sequence);
+    EXPECT_EQ(decoded.changeset, report.changeset);
+
+    const service::ReportView view = ChangesetReport::view_wire(*wire);
+    EXPECT_EQ(view.agent_id, report.agent_id);
+    EXPECT_EQ(view.sequence, report.sequence);
+    EXPECT_EQ(fs::Changeset::from_view(view.changeset), report.changeset);
+    // Zero-copy: every path views the frame's own bytes.
+    for (const auto& rec : view.changeset.records) {
+      EXPECT_GE(rec.path.data(), wire->data());
+      EXPECT_LE(rec.path.data() + rec.path.size(),
+                wire->data() + wire->size());
+    }
+
+    const auto identity = ChangesetReport::peek_identity(*wire);
+    ASSERT_TRUE(identity.has_value());
+    EXPECT_EQ(identity->agent_id, report.agent_id);
+    EXPECT_EQ(identity->sequence, report.sequence);
+  }
+}
+
+TEST(ReportWire, UnclosedAndEmptyChangesetsRoundTripInBothVersions) {
+  ChangesetReport report;
+  report.agent_id = "vm-open";
+  report.changeset.add(
+      fs::ChangeRecord{"/var/log/a", 0644, fs::ChangeKind::kModify, 3});
+  report.changeset.add(
+      fs::ChangeRecord{"/var/log/b", 0644, fs::ChangeKind::kModify, 1});
+  ChangesetReport empty;
+  empty.agent_id = "vm-empty";
+  for (const ChangesetReport* r : {&report, &empty}) {
+    EXPECT_EQ(ChangesetReport::from_wire(r->to_wire()).changeset, r->changeset);
+    EXPECT_EQ(ChangesetReport::from_wire(r->to_wire_v1()).changeset,
+              r->changeset);
+  }
+}
+
 // ------------------------------------------------------- MessageBus acks --
 
 std::string wire_report(const std::string& agent, std::uint64_t sequence) {
@@ -628,6 +694,70 @@ TEST_F(FaultMatrixTest, DuplicatesAreCountedNotReprocessed) {
   EXPECT_EQ(outcome.duplicates, reports.size())
       << "each duplicated frame must land in the duplicate outcome";
   EXPECT_EQ(faulty.duplicated(), reports.size());
+}
+
+TEST_F(FaultMatrixTest, InterleavedV1AndV2FramesMatchAV1OnlyRun) {
+  // A fleet mid-upgrade: old agents still send v1 frames, new ones v2. The
+  // server must not care — discoveries, inventory and the retained tagsets
+  // equal a run where every agent sent v1.
+  const auto reports = make_reports(3, 8);
+  auto run = [&](bool interleave) {
+    service::ServerConfig config;
+    config.runtime.num_threads = 1;
+    service::DiscoveryServer server(*model_, config);
+    MessageBus bus;
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+      bus.send(interleave && i % 2 == 1 ? reports[i].to_wire()
+                                        : reports[i].to_wire_v1());
+    }
+    auto discoveries = server.process(bus);
+    EXPECT_EQ(server.processed(), reports.size());
+    EXPECT_EQ(server.malformed(), 0u);
+    for (const auto& report : reports) {
+      EXPECT_TRUE(bus.acknowledged(report.agent_id, report.sequence));
+    }
+    return std::make_tuple(std::move(discoveries), server.inventory(),
+                           server.store().tagsets());
+  };
+  const auto [v1_discoveries, v1_inventory, v1_tagsets] = run(false);
+  const auto [mixed_discoveries, mixed_inventory, mixed_tagsets] = run(true);
+  ASSERT_FALSE(v1_discoveries.empty());
+  ASSERT_EQ(mixed_discoveries.size(), v1_discoveries.size());
+  for (std::size_t i = 0; i < v1_discoveries.size(); ++i) {
+    const auto& a = v1_discoveries[i];
+    const auto& b = mixed_discoveries[i];
+    EXPECT_EQ(std::tie(a.agent_id, a.sequence, a.open_time_ms,
+                       a.close_time_ms, a.record_count, a.inferred_quantity,
+                       a.applications, a.model_epoch),
+              std::tie(b.agent_id, b.sequence, b.open_time_ms,
+                       b.close_time_ms, b.record_count, b.inferred_quantity,
+                       b.applications, b.model_epoch));
+  }
+  EXPECT_EQ(mixed_inventory, v1_inventory);
+  EXPECT_EQ(mixed_tagsets, v1_tagsets);
+}
+
+TEST_F(FaultMatrixTest, VersionThreeFrameCountsAsVersionMismatchAndSettles) {
+  ChangesetReport report = make_reports(1, 1).front();
+  report.agent_id = "vm-from-the-future";
+  // A structurally sound frame one version past what this build reads.
+  const std::string v2 = report.to_wire();
+  const std::string v3 = seal_snapshot(
+      service::kChangesetReportMagic, service::kChangesetReportVersion + 1,
+      std::string_view(v2).substr(kSnapshotHeaderBytes));
+
+  MessageBus bus;
+  service::ServerConfig config;
+  config.runtime.num_threads = 1;
+  service::DiscoveryServer server(*model_, config);
+  bus.send(v3);
+  EXPECT_TRUE(server.process(bus).empty());
+  EXPECT_EQ(server.version_mismatched(), 1u);
+  EXPECT_EQ(server.malformed(), 0u);
+  EXPECT_EQ(server.processed(), 0u);
+  EXPECT_EQ(server.ingest_stats().at(report.agent_id).version_mismatch, 1u);
+  // Settled: resending identical bytes could never help.
+  EXPECT_TRUE(bus.acknowledged(report.agent_id, report.sequence));
 }
 
 TEST_F(FaultMatrixTest, CorruptionNeverDoubleCountsOrFabricates) {
