@@ -189,7 +189,8 @@ int main(int argc, char** argv) {
   const auto settled = [&router] {
     std::uint64_t total = 0;
     for (std::size_t i = 0; i < router.shard_count(); ++i) {
-      total += router.shard(i).processed() + router.shard(i).duplicates();
+      const auto totals = router.shard(i).totals();
+      total += totals.processed + totals.duplicate;
     }
     return total;
   };

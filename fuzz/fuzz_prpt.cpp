@@ -1,5 +1,5 @@
 // Fuzz harness: wire ChangesetReport ("PRPT", v1 and v2) decoder, plus the
-// best-effort peek_agent_id() used for malformed-frame attribution — peek
+// best-effort peek_identity() used for malformed-frame attribution — peek
 // is noexcept, so it must digest the same arbitrary bytes without throwing
 // at all.
 //
@@ -37,7 +37,7 @@ void ingest(std::string_view bytes) {
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const auto bytes = praxi::fuzz::as_view(data, size);
-  (void)praxi::service::ChangesetReport::peek_agent_id(bytes);
+  (void)praxi::service::ChangesetReport::peek_identity(bytes);
   ingest(bytes);
   if (bytes.size() >= praxi::kSnapshotHeaderBytes) {
     std::uint32_t version = 0;

@@ -376,12 +376,13 @@ int cmd_serve(const Options& options, std::ostream& out, std::ostream& err) {
   // Settle anything that arrived while shutting down.
   discoveries += server.process(transport).size();
 
-  out << "processed " << server.processed() << " reports from "
+  const auto totals = server.totals();
+  out << "processed " << totals.processed << " reports from "
       << server.ingest_stats().size() << " agents; " << discoveries
       << " discoveries";
-  if (server.duplicates() > 0)
-    out << " (" << server.duplicates() << " duplicates skipped)";
-  if (server.malformed() > 0) out << " (" << server.malformed() << " malformed)";
+  if (totals.duplicate > 0)
+    out << " (" << totals.duplicate << " duplicates skipped)";
+  if (totals.malformed > 0) out << " (" << totals.malformed << " malformed)";
   out << "\n";
   for (const auto& [agent_id, apps] : server.inventory()) {
     out << "  " << agent_id << ": " << join({apps.begin(), apps.end()}, " ")
@@ -441,7 +442,7 @@ int cmd_cluster(const Options& options, std::ostream& out, std::ostream& err) {
   const auto processed = [&router] {
     std::uint64_t total = 0;
     for (std::size_t i = 0; i < router.shard_count(); ++i) {
-      total += router.shard(i).processed();
+      total += router.shard(i).totals().processed;
     }
     return total;
   };

@@ -10,10 +10,10 @@ namespace praxi::cluster {
 
 namespace detail {
 
-/// The wire between the router and ONE shard: a queue the router (and
-/// agent threads, via ShardRouter::send) feeds and the shard's
-/// DiscoveryServer drains, plus the in-flight table that remembers every
-/// drained frame until the shard settles it or the round ends.
+/// The wire between the router and ONE shard: a queue the router feeds and
+/// the shard's DiscoveryServer drains, plus the in-flight table that
+/// remembers every drained frame until the shard settles it or the round
+/// ends.
 ///
 /// Lock rank kClusterShardQueue: the shard's server calls drain()/ack()
 /// while holding its own state lock (rank kServerState), the same shape as
@@ -45,16 +45,8 @@ class ShardTransport final : public service::Transport {
         obs::latency_buckets());
   }
 
-  /// One settled frame, reported back to the router's post-round sweep.
-  struct Settled {
-    std::string wire;
-    std::string agent_id;
-    std::uint64_t sequence = 0;
-    bool has_identity = false;
-    bool from_ingress = false;
-  };
   struct Sweep {
-    std::vector<Settled> settled;
+    std::vector<std::string> settled;  ///< wire bytes, to ack upstream
     std::uint64_t dropped = 0;
   };
 
@@ -62,8 +54,8 @@ class ShardTransport final : public service::Transport {
 
   /// `identity` is the frame's peek_identity(), read once by the router.
   void enqueue(std::string wire,
-               std::optional<service::ReportIdentity> identity,
-               bool from_ingress) PRAXI_EXCLUDES(mutex_) {
+               std::optional<service::ReportIdentity> identity)
+      PRAXI_EXCLUDES(mutex_) {
     Entry entry;
     if (identity) {
       entry.agent_id = std::move(identity->agent_id);
@@ -71,7 +63,6 @@ class ShardTransport final : public service::Transport {
       entry.has_identity = true;
     }
     entry.wire = std::move(wire);
-    entry.from_ingress = from_ingress;
     entry.enqueued_at = std::chrono::steady_clock::now();
     common::LockGuard lock(mutex_);
     queue_.push_back(std::move(entry));
@@ -92,10 +83,7 @@ class ShardTransport final : public service::Transport {
     Sweep sweep;
     for (auto& entry : in_flight_) {
       if (entry.settled) {
-        sweep.settled.push_back(Settled{std::move(entry.wire),
-                                        std::move(entry.agent_id),
-                                        entry.sequence, entry.has_identity,
-                                        entry.from_ingress});
+        sweep.settled.push_back(std::move(entry.wire));
       } else {
         ++sweep.dropped;
         unsettled_total_->inc();
@@ -120,7 +108,8 @@ class ShardTransport final : public service::Transport {
 
   void send(std::string) override {
     throw service::TransportError(
-        "ShardTransport is receive-only; agents route through ShardRouter");
+        "ShardTransport is receive-only; frames route through "
+        "ShardRouter::process");
   }
 
   std::vector<std::string> drain() PRAXI_EXCLUDES(mutex_) override {
@@ -178,7 +167,6 @@ class ShardTransport final : public service::Transport {
     std::string agent_id;
     std::uint64_t sequence = 0;
     bool has_identity = false;
-    bool from_ingress = false;
     bool settled = false;
     std::chrono::steady_clock::time_point enqueued_at;
   };
@@ -268,7 +256,7 @@ void ShardRouter::worker_loop(std::size_t index) {
   }
 }
 
-void ShardRouter::route(std::string wire_bytes, bool from_ingress) {
+void ShardRouter::route(std::string wire_bytes) {
   // One identity parse per frame: it picks the shard here and keys the
   // shard's in-flight table for settle matching.
   auto identity = service::ChangesetReport::peek_identity(wire_bytes);
@@ -280,32 +268,16 @@ void ShardRouter::route(std::string wire_bytes, bool from_ingress) {
   routed_frames_.fetch_add(1, std::memory_order_relaxed);
   routed_bytes_.fetch_add(wire_bytes.size(), std::memory_order_relaxed);
   shards_[shard]->transport->enqueue(std::move(wire_bytes),
-                                     std::move(identity), from_ingress);
-}
-
-void ShardRouter::send(std::string wire_bytes) {
-  if (closed_.load(std::memory_order_acquire)) {
-    throw service::TransportError("ShardRouter: send after close");
-  }
-  route(std::move(wire_bytes), /*from_ingress=*/false);
-}
-
-void ShardRouter::ack(std::string_view) {
-  // The router is the consumer of its shards, not of its caller; nothing
-  // is ever drained from it, so there is nothing to settle here.
+                                     std::move(identity));
 }
 
 std::vector<service::Discovery> ShardRouter::process(
-    service::Transport* ingress) {
+    service::Transport& ingress) {
   if (closed_.load(std::memory_order_acquire)) {
     throw service::TransportError("ShardRouter: process after close");
   }
   ++round_;
-  if (ingress != nullptr) {
-    for (auto& wire : ingress->drain()) {
-      route(std::move(wire), /*from_ingress=*/true);
-    }
-  }
+  for (auto& wire : ingress.drain()) route(std::move(wire));
 
   // Wake exactly the shards with routed work and wait for all of them —
   // the round barrier. Shards run concurrently on their worker threads.
@@ -334,32 +306,20 @@ std::vector<service::Discovery> ShardRouter::process(
                        std::make_move_iterator(batch.end()));
   }
 
-  // Post-round sweep: settled frames are acknowledged upstream and
-  // recorded; unsettled ones (malformed, held-window overflow) are dropped
-  // for the at-least-once wire to redeliver.
+  // Post-round sweep: settled frames are acknowledged upstream; unsettled
+  // ones (malformed, held-window overflow) are dropped for the
+  // at-least-once wire to redeliver.
   for (const std::size_t i : active) {
-    auto sweep = shards_[i]->transport->sweep_round();
+    const auto sweep = shards_[i]->transport->sweep_round();
     unsettled_frames_.fetch_add(sweep.dropped, std::memory_order_relaxed);
-    for (auto& settled : sweep.settled) {
-      settled_frames_.fetch_add(1, std::memory_order_relaxed);
-      if (settled.has_identity) {
-        acked_.emplace(std::move(settled.agent_id), settled.sequence);
-      }
-      if (settled.from_ingress && ingress != nullptr) {
-        ingress->ack(settled.wire);
-      }
-    }
+    settled_frames_.fetch_add(sweep.settled.size(), std::memory_order_relaxed);
+    for (const auto& wire : sweep.settled) ingress.ack(wire);
   }
 
   if (config_.merge_every != 0 && round_ % config_.merge_every == 0) {
     merge_now();
   }
   return discoveries;
-}
-
-bool ShardRouter::acknowledged(std::string_view agent_id,
-                               std::uint64_t sequence) const {
-  return acked_.count({std::string(agent_id), sequence}) > 0;
 }
 
 MergedInventory ShardRouter::merge_now() {
@@ -419,9 +379,10 @@ service::TransportStats ShardRouter::stats() const {
     stats.delivered_frames += inner.delivered_frames;
     stats.delivered_bytes += inner.delivered_bytes;
     stats.pending_frames += inner.pending_frames;
-    stats.duplicates += shard->server->duplicates();
-    stats.malformed_frames += shard->server->malformed();
-    stats.overloads += shard->server->overflows();
+    const auto totals = shard->server->totals();
+    stats.duplicates += totals.duplicate;
+    stats.malformed_frames += totals.malformed;
+    stats.overloads += totals.overflow;
   }
   return stats;
 }

@@ -1,4 +1,4 @@
-// Sharded discovery cluster behind the Transport API (docs/CLUSTER.md).
+// Sharded discovery cluster behind one ingress Transport (docs/CLUSTER.md).
 //
 // One SocketServer on one port is the single-server ceiling; the ROADMAP's
 // "heavy traffic from millions of users" needs the discovery tier to scale
@@ -8,13 +8,13 @@
 // snapshot cell, ingest queue, and WAL directory, behind a ShardRouter
 // that consistent-hashes agent_id onto shards via a HashRing.
 //
-// The router is itself just another `service::Transport`: agents send the
-// same wire frames they would send to a single server, drain/ack work for
-// any upstream ingress (a frontend net::SocketServer, the in-memory
-// MessageBus, or a FaultyTransport wrapping either), and acknowledgments
-// flow back ONLY after the owning shard settled the frame — per-shard
-// exactly-once/dedup state is untouched, so the cluster inherits the
-// single-server durability contract shard by shard (docs/DURABILITY.md).
+// The router is a round coordinator, not a Transport: each round it drains
+// the same wire frames a single server would from an ingress Transport (a
+// frontend net::SocketServer, the in-memory MessageBus, or a FaultyTransport
+// wrapping either), and acknowledges them on that ingress ONLY after the
+// owning shard settled the frame — per-shard exactly-once/dedup state is
+// untouched, so the cluster inherits the single-server durability contract
+// shard by shard (docs/DURABILITY.md).
 //
 // Concurrency model (docs/CONCURRENCY.md): one persistent worker thread
 // per shard, coordinated round-by-round. process() routes the drained
@@ -25,9 +25,10 @@
 // The router's coordination mutex (rank kClusterRouter, outermost) is only
 // ever held around flag flips, never across shard code. After the barrier
 // the router thread sweeps each shard's in-flight table: settled frames
-// are acknowledged upstream and recorded; unsettled frames (malformed,
-// held-window overflow) are dropped for the at-least-once wire to
-// redeliver — exactly the MessageBus disposition, one layer up.
+// are acknowledged upstream; unsettled frames (malformed, held-window
+// overflow) are dropped for the at-least-once wire to redeliver — exactly
+// the MessageBus disposition, one layer up. Nothing per report outlives
+// the round.
 #pragma once
 
 #include <atomic>
@@ -38,7 +39,6 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "cluster/hash_ring.hpp"
@@ -85,56 +85,31 @@ struct MergedInventory {
   std::map<std::string, MergedAgent> agents;
 };
 
-class ShardRouter final : public service::Transport {
+class ShardRouter {
  public:
   /// Builds `config.shards` DiscoveryServer shards, each owning a copy of
   /// `model`, replaying its WAL (if any) before the first frame routes.
   explicit ShardRouter(const core::Praxi& model, ClusterConfig config = {});
-  ~ShardRouter() override;
+  ~ShardRouter();
 
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  // --- service::Transport (the agent-facing end) ---
-
-  /// Routes one wire frame straight into its owning shard's queue (the
-  /// in-memory agent path; socket agents go through an ingress transport
-  /// passed to process() instead). Thread-safe. Throws TransportError
-  /// after close().
-  void send(std::string wire_bytes) override;
-
-  /// The router consumes frames internally; nothing to drain upstream.
-  std::vector<std::string> drain() override { return {}; }
-
-  /// No-op: the router acknowledges through its shards, not its caller.
-  void ack(std::string_view wire_bytes) override;
+  /// One routing + processing round: drains `ingress`, routes each frame to
+  /// its owning shard, runs every shard with work on its own worker thread,
+  /// then acknowledges settled frames back on `ingress`. Returns this
+  /// round's discoveries (shard-major, arrival order within a shard). Call
+  /// from one thread at a time. Throws TransportError after close().
+  std::vector<service::Discovery> process(service::Transport& ingress);
 
   /// Stops and joins every shard worker; idempotent. Shard servers stay
   /// readable (inventory/stats) after close.
-  void close() override;
+  void close();
 
   /// Cluster-wide totals: routed/settled/rejected frames plus the summed
-  /// shard-server counters (duplicates, malformed, overflow rejects) and
+  /// shard-server outcomes (duplicates, malformed, overflow rejects) and
   /// current queue depths. Safe to call concurrently.
-  service::TransportStats stats() const override;
-
-  // --- Cluster operation (router thread) ---
-
-  /// One routing + processing round: drains `ingress` (when given), routes
-  /// each frame to its owning shard, runs every shard with work on its own
-  /// worker thread, then acknowledges settled frames back on `ingress`.
-  /// Returns this round's discoveries (shard-major, arrival order within
-  /// a shard). Call from one thread at a time.
-  std::vector<service::Discovery> process(service::Transport* ingress);
-  std::vector<service::Discovery> process(service::Transport& ingress) {
-    return process(&ingress);
-  }
-  std::vector<service::Discovery> process() { return process(nullptr); }
-
-  /// Has any shard settled a frame carrying this (agent, sequence)?
-  /// Includes identities restored from shard WAL replay after
-  /// restart_shard(). Router-thread view (call between rounds).
-  bool acknowledged(std::string_view agent_id, std::uint64_t sequence) const;
+  service::TransportStats stats() const;
 
   /// The cached merged inventory (refreshed every merge_every rounds).
   MergedInventory merged_inventory() const { return merged_; }
@@ -172,7 +147,7 @@ class ShardRouter final : public service::Transport {
   std::unique_ptr<service::DiscoveryServer> make_server(std::size_t index);
   std::string shard_wal_dir(std::size_t index) const;
   /// Routes one frame into its owning shard's queue.
-  void route(std::string wire_bytes, bool from_ingress);
+  void route(std::string wire_bytes);
 
   ClusterConfig config_;
   HashRing ring_;
@@ -191,11 +166,6 @@ class ShardRouter final : public service::Transport {
 
   std::atomic<bool> closed_{false};
   std::uint64_t round_ = 0;  ///< router thread only
-
-  /// Settled (agent, sequence) identities, cluster-wide. Router thread
-  /// only: workers report settles through their ShardTransport; the router
-  /// folds them in during the post-round sweep.
-  std::set<std::pair<std::string, std::uint64_t>> acked_;
   MergedInventory merged_;  ///< router thread only
 
   // Lifetime totals (stats(); mirrored into praxi_cluster_* instruments).

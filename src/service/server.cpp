@@ -11,16 +11,25 @@ namespace praxi::service {
 namespace {
 
 /// Servers share one process-global registry, so each instance claims a
-/// distinct `server` label value to keep its series (and its ingest-stats
-/// view) independent of every other instance in the process — tests spin up
-/// many servers.
+/// distinct `server` label value to keep its series independent of every
+/// other instance in the process — tests spin up many servers.
 std::string next_server_label() {
   static std::atomic<std::uint64_t> next{0};
   return std::to_string(next.fetch_add(1));
 }
 
-constexpr const char* kReportsHelp =
-    "Agent reports ingested, by agent and outcome";
+/// Outcome label and stats field, indexed by DiscoveryServer::Outcome.
+struct OutcomeField {
+  const char* label;
+  std::uint64_t AgentIngestStats::*count;
+};
+constexpr OutcomeField kOutcomeFields[] = {
+    {"processed", &AgentIngestStats::processed},
+    {"malformed", &AgentIngestStats::malformed},
+    {"version_mismatch", &AgentIngestStats::version_mismatch},
+    {"duplicate", &AgentIngestStats::duplicate},
+    {"overflow", &AgentIngestStats::overflow},
+};
 
 }  // namespace
 
@@ -35,6 +44,11 @@ DiscoveryServer::DiscoveryServer(core::Praxi model, ServerConfig config)
   model_.set_runtime(config_.runtime);
 
   auto& registry = obs::MetricsRegistry::global();
+  for (std::size_t i = 0; i < reports_total_.size(); ++i) {
+    reports_total_[i] = &registry.counter(
+        "praxi_server_reports_total", "Agent reports ingested, by outcome",
+        {{"server", server_label_}, {"outcome", kOutcomeFields[i].label}});
+  }
   process_seconds_ = &registry.histogram(
       "praxi_server_process_seconds",
       "Latency of one process() drain-classify-commit cycle",
@@ -68,53 +82,39 @@ DiscoveryServer::DiscoveryServer(core::Praxi model, ServerConfig config)
     wal_config.server_label = server_label_;
     wal_ = std::make_unique<WriteAheadLog>(wal_config);
     for (const auto& [agent_id, tracker] : wal_->restored()) {
-      sequences_.emplace(agent_id,
-                         SequenceTracker(tracker.floor, tracker.held,
-                                         config_.transport.max_held_sequences));
+      agents_[agent_id].tracker = SequenceTracker(
+          tracker.floor, tracker.held, config_.transport.max_held_sequences);
     }
   }
   update_state_gauges();
 }
 
-DiscoveryServer::AgentCounters& DiscoveryServer::counters_for(
+DiscoveryServer::AgentRecord& DiscoveryServer::record_for(
     const std::string& agent_id) {
-  auto it = agent_counters_.find(agent_id);
-  if (it != agent_counters_.end()) return it->second;
-
-  auto& registry = obs::MetricsRegistry::global();
-  auto labels = [&](const char* outcome) {
-    return obs::Labels{{"server", server_label_},
-                       {"agent", agent_id},
-                       {"outcome", outcome}};
-  };
-  AgentCounters counters;
-  counters.processed = &registry.counter("praxi_server_reports_total",
-                                         kReportsHelp, labels("processed"));
-  counters.malformed = &registry.counter("praxi_server_reports_total",
-                                         kReportsHelp, labels("malformed"));
-  counters.version_mismatch = &registry.counter(
-      "praxi_server_reports_total", kReportsHelp, labels("version_mismatch"));
-  counters.duplicate = &registry.counter("praxi_server_reports_total",
-                                         kReportsHelp, labels("duplicate"));
-  counters.overflow = &registry.counter("praxi_server_reports_total",
-                                        kReportsHelp, labels("overflow"));
-  return agent_counters_.emplace(agent_id, counters).first->second;
-}
-
-SequenceTracker& DiscoveryServer::tracker_for(const std::string& agent_id) {
-  auto it = sequences_.find(agent_id);
-  if (it != sequences_.end()) return it->second;
+  const auto [it, inserted] = agents_.try_emplace(agent_id);
+  if (!inserted) return it->second;
+  std::uint64_t floor = 0;
   const auto evicted = evicted_floors_.find(agent_id);
   if (evicted != evicted_floors_.end()) {
-    SequenceTracker restored(evicted->second, {},
-                             config_.transport.max_held_sequences);
+    floor = evicted->second;
     evicted_floors_.erase(evicted);
-    return sequences_.emplace(agent_id, std::move(restored)).first->second;
   }
-  return sequences_
-      .emplace(agent_id,
-               SequenceTracker(config_.transport.max_held_sequences))
-      .first->second;
+  it->second.tracker =
+      SequenceTracker(floor, {}, config_.transport.max_held_sequences);
+  return it->second;
+}
+
+DiscoveryServer::AgentRecord& DiscoveryServer::sender_of(
+    std::string_view wire) {
+  const auto identity = ChangesetReport::peek_identity(wire);
+  return record_for(identity ? identity->agent_id : kUnattributedAgent);
+}
+
+void DiscoveryServer::charge(AgentRecord& record, Outcome outcome) {
+  const auto i = static_cast<std::size_t>(outcome);
+  ++(record.stats.*kOutcomeFields[i].count);
+  ++(totals_.*kOutcomeFields[i].count);
+  reports_total_[i]->inc();
 }
 
 WalState DiscoveryServer::current_wal_state() const {
@@ -122,10 +122,13 @@ WalState DiscoveryServer::current_wal_state() const {
   for (const auto& [agent_id, floor] : evicted_floors_) {
     state[agent_id].floor = floor;
   }
-  for (const auto& [agent_id, tracker] : sequences_) {
+  for (const auto& [agent_id, record] : agents_) {
+    // A record that never admitted a report (malformed frames only) holds
+    // no dedup state.
+    if (record.tracker.floor() == 0 && record.tracker.held() == 0) continue;
     WalTrackerState& entry = state[agent_id];
-    entry.floor = tracker.floor();
-    entry.held = tracker.held_sequences();
+    entry.floor = record.tracker.floor();
+    entry.held = record.tracker.held_sequences();
   }
   return state;
 }
@@ -134,87 +137,34 @@ void DiscoveryServer::evict_idle_agents(
     const std::set<std::string_view>& active_agents) {
   const std::size_t bound = config_.max_resident_agents;
   if (bound == 0) return;
-  for (auto it = sequences_.begin();
-       it != sequences_.end() && sequences_.size() > bound;) {
+  for (auto it = agents_.begin();
+       it != agents_.end() && agents_.size() > bound;) {
     // Only idle, gap-free trackers fold losslessly to their floor.
-    if (it->second.held() > 0 || active_agents.count(it->first) > 0) {
+    const SequenceTracker& tracker = it->second.tracker;
+    if (tracker.held() > 0 || active_agents.count(it->first) > 0) {
       ++it;
       continue;
     }
-    if (it->second.floor() > 0) evicted_floors_[it->first] = it->second.floor();
-    it = sequences_.erase(it);
+    if (tracker.floor() > 0) evicted_floors_[it->first] = tracker.floor();
+    it = agents_.erase(it);
   }
 }
 
 void DiscoveryServer::update_state_gauges() {
   std::size_t held = 0;
-  for (const auto& [agent_id, tracker] : sequences_) held += tracker.held();
-  agents_gauge_->set(static_cast<double>(sequences_.size()));
+  for (const auto& [agent_id, record] : agents_) held += record.tracker.held();
+  agents_gauge_->set(static_cast<double>(agents_.size()));
   held_gauge_->set(static_cast<double>(held));
-}
-
-DiscoveryServer::AgentCounters& DiscoveryServer::counters_for_wire(
-    std::string_view wire) {
-  std::string agent_id = ChangesetReport::peek_agent_id(wire);
-  return counters_for(agent_id.empty() ? kUnattributedAgent
-                                       : std::move(agent_id));
-}
-
-std::uint64_t DiscoveryServer::processed() const {
-  common::LockGuard lock(state_mutex_);
-  std::uint64_t total = 0;
-  for (const auto& [agent, counters] : agent_counters_) {
-    total += counters.processed->value();
-  }
-  return total;
-}
-
-std::uint64_t DiscoveryServer::malformed() const {
-  common::LockGuard lock(state_mutex_);
-  std::uint64_t total = 0;
-  for (const auto& [agent, counters] : agent_counters_) {
-    total += counters.malformed->value();
-  }
-  return total;
-}
-
-std::uint64_t DiscoveryServer::version_mismatched() const {
-  common::LockGuard lock(state_mutex_);
-  std::uint64_t total = 0;
-  for (const auto& [agent, counters] : agent_counters_) {
-    total += counters.version_mismatch->value();
-  }
-  return total;
-}
-
-std::uint64_t DiscoveryServer::duplicates() const {
-  common::LockGuard lock(state_mutex_);
-  std::uint64_t total = 0;
-  for (const auto& [agent, counters] : agent_counters_) {
-    total += counters.duplicate->value();
-  }
-  return total;
-}
-
-std::uint64_t DiscoveryServer::overflows() const {
-  common::LockGuard lock(state_mutex_);
-  std::uint64_t total = 0;
-  for (const auto& [agent, counters] : agent_counters_) {
-    total += counters.overflow->value();
-  }
-  return total;
 }
 
 std::map<std::string, AgentIngestStats> DiscoveryServer::ingest_stats() const {
   common::LockGuard lock(state_mutex_);
   std::map<std::string, AgentIngestStats> stats;
-  for (const auto& [agent, counters] : agent_counters_) {
-    AgentIngestStats& s = stats[agent];
-    s.processed = counters.processed->value();
-    s.malformed = counters.malformed->value();
-    s.version_mismatch = counters.version_mismatch->value();
-    s.duplicate = counters.duplicate->value();
-    s.overflow = counters.overflow->value();
+  for (const auto& [agent_id, record] : agents_) {
+    // WAL-restored agents that have not reported since hold no outcomes.
+    if (record.stats != AgentIngestStats{}) {
+      stats.emplace(agent_id, record.stats);
+    }
   }
   return stats;
 }
@@ -268,27 +218,30 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
     ReportView report;
     try {
       report = ChangesetReport::view_wire(wire);
+      // praxi-lint: allow(data-plane-catch: charge() increments a counter)
     } catch (const VersionError&) {
       // Structurally sound frame from an agent speaking another format
       // version (fleet mid-upgrade) — distinct from corruption. Resending
       // identical bytes cannot help, so the frame still settles.
-      counters_for_wire(wire).version_mismatch->inc();
+      charge(sender_of(wire), Outcome::kVersionMismatch);
       settled.push_back(&wire);
       continue;
+      // praxi-lint: allow(data-plane-catch: charge() increments a counter)
     } catch (const SerializeError&) {
-      counters_for_wire(wire).malformed->inc();
+      charge(sender_of(wire), Outcome::kMalformed);
       continue;
     }
     std::string agent_id(report.agent_id);
     active_agents.insert(report.agent_id);
-    const auto verdict = tracker_for(agent_id).preview(report.sequence);
+    AgentRecord& record = record_for(agent_id);
+    const auto verdict = record.tracker.preview(report.sequence);
     if (verdict == SequenceTracker::Admit::kDuplicate ||
         staged.count({report.agent_id, report.sequence}) > 0) {
       // At-least-once wire redelivered a report this server already
       // processed (retry after a lost ack, a duplicating network, or an
       // agent restart replaying its journal). Exactly-once processing:
       // count it, settle it, skip it.
-      counters_for(agent_id).duplicate->inc();
+      charge(record, Outcome::kDuplicate);
       settled.push_back(&wire);
       continue;
     }
@@ -296,7 +249,7 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
       // The agent's held-set cap is full (badly reordering or adversarial
       // wire). The frame is NOT settled — no ack — so it is redelivered
       // once the out-of-order window drains.
-      counters_for(agent_id).overflow->inc();
+      charge(record, Outcome::kOverflow);
       continue;
     }
     staged.insert({report.agent_id, report.sequence});
@@ -355,19 +308,20 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
   discoveries.reserve(pending.size());
   for (auto& item : pending) {
     const std::string& agent_id = item.discovery.agent_id;
-    if (tracker_for(agent_id).admit(item.discovery.sequence) !=
+    AgentRecord& record = record_for(agent_id);
+    if (record.tracker.admit(item.discovery.sequence) !=
         SequenceTracker::Admit::kAccept) {
       // Out-of-order admissions earlier in this batch filled the held-set
       // cap after this frame was screened; same policy as a phase-1
       // reject: no ack, the wire redelivers.
-      counters_for(agent_id).overflow->inc();
+      charge(record, Outcome::kOverflow);
       continue;
     }
     if (wal_) {
       wal_->append(agent_id, item.discovery.sequence,
                    SettleOutcome::kProcessed);
     }
-    counters_for(agent_id).processed->inc();
+    charge(record, Outcome::kProcessed);
     settled.push_back(item.wire);
     if (!item.classify) continue;
     Discovery discovery = std::move(item.discovery);

@@ -12,6 +12,7 @@
 //     in the DeltaSherlock architecture without a full retrain.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -63,17 +64,11 @@ struct ServerConfig {
   std::size_t max_resident_agents = 0;
 };
 
-/// Per-agent ingest health: how many reports an agent delivered cleanly vs
-/// how many arrived malformed or version-skewed. An agent whose malformed
-/// count climbs is corrupting data in flight (or running a broken build) —
-/// exactly the graceful-degradation signal an operator needs, which a single
-/// global counter cannot attribute.
-///
-/// Snapshot value read out of the metrics registry: the server's source of
-/// truth is the labeled counter family praxi_server_reports_total, and this
-/// struct is the thin per-agent view over it (docs/OBSERVABILITY.md). With
-/// metrics disabled via RuntimeConfig the counters — and therefore these
-/// stats — stop advancing.
+/// Ingest outcomes of one agent, or summed fleet-wide. An agent whose
+/// malformed count climbs is corrupting data in flight (or running a broken
+/// build) — a signal a single global counter cannot attribute. Server
+/// state, not telemetry: counts advance with metrics disabled, and the
+/// registry carries only the per-server sums (docs/OBSERVABILITY.md).
 struct AgentIngestStats {
   std::uint64_t processed = 0;         ///< reports parsed and classified
   std::uint64_t malformed = 0;         ///< corrupt frames (checksum, bounds…)
@@ -81,6 +76,8 @@ struct AgentIngestStats {
   std::uint64_t duplicate = 0;  ///< redelivered (agent, sequence), skipped
   std::uint64_t overflow = 0;   ///< held-set cap reached; frame NOT settled,
                                 ///< left for the wire to redeliver
+
+  bool operator==(const AgentIngestStats&) const = default;
 };
 
 /// One processed report.
@@ -157,24 +154,25 @@ class DiscoveryServer {
   /// locked, so reading it concurrently is safe).
   const core::Praxi& model() const { return model_; }
   const core::TagsetStore& store() const { return store_; }
-  /// Fleet-wide totals, summed over the per-agent counters.
-  std::uint64_t processed() const PRAXI_EXCLUDES(state_mutex_);
-  std::uint64_t malformed() const PRAXI_EXCLUDES(state_mutex_);
-  std::uint64_t version_mismatched() const PRAXI_EXCLUDES(state_mutex_);
-  std::uint64_t duplicates() const PRAXI_EXCLUDES(state_mutex_);
-  std::uint64_t overflows() const PRAXI_EXCLUDES(state_mutex_);
+  /// Fleet-wide ingest outcomes, including those of agents since evicted.
+  AgentIngestStats totals() const PRAXI_EXCLUDES(state_mutex_) {
+    common::LockGuard lock(state_mutex_);
+    return totals_;
+  }
+  std::uint64_t processed() const { return totals().processed; }
+  std::uint64_t duplicates() const { return totals().duplicate; }
 
   /// The durable log, when ServerConfig::wal_dir is set (else nullptr).
   const WriteAheadLog* wal() const { return wal_.get(); }
   /// Resident per-agent dedup trackers (mirrors praxi_server_agents).
   std::size_t resident_agents() const PRAXI_EXCLUDES(state_mutex_) {
     common::LockGuard lock(state_mutex_);
-    return sequences_.size();
+    return agents_.size();
   }
 
-  /// Ingest health per agent, read out of the metrics registry (returns a
-  /// snapshot by value). Frames too corrupt to attribute are charged to
-  /// kUnattributedAgent.
+  /// Ingest outcomes of every resident agent that has delivered a frame
+  /// (snapshot by value). Frames too corrupt to attribute are charged to
+  /// kUnattributedAgent. Eviction drops an agent's row; totals() keeps it.
   std::map<std::string, AgentIngestStats> ingest_stats() const
       PRAXI_EXCLUDES(state_mutex_);
   static constexpr const char* kUnattributedAgent = "(unattributed)";
@@ -184,23 +182,25 @@ class DiscoveryServer {
   const std::string& server_label() const { return server_label_; }
 
  private:
-  /// Cached handles into praxi_server_reports_total for one agent — the
-  /// registry owns the counters; these stay valid for the process lifetime.
-  struct AgentCounters {
-    obs::Counter* processed = nullptr;
-    obs::Counter* malformed = nullptr;
-    obs::Counter* version_mismatch = nullptr;
-    obs::Counter* duplicate = nullptr;
-    obs::Counter* overflow = nullptr;
+  /// Everything kept per agent: the exactly-once tracker (keyed by the
+  /// report's own sequence field) and the agent's ingest outcomes.
+  struct AgentRecord {
+    SequenceTracker tracker;
+    AgentIngestStats stats;
+  };
+  /// Indexes reports_total_ and the matching AgentIngestStats field.
+  enum class Outcome : std::size_t {
+    kProcessed, kMalformed, kVersionMismatch, kDuplicate, kOverflow
   };
 
-  AgentCounters& counters_for(const std::string& agent_id)
+  /// The agent's record, creating it (its tracker restored from the evicted
+  /// floor if one exists) on first use.
+  AgentRecord& record_for(const std::string& agent_id)
       PRAXI_REQUIRES(state_mutex_);
-  AgentCounters& counters_for_wire(std::string_view wire)
-      PRAXI_REQUIRES(state_mutex_);
-  /// The agent's tracker, creating it (restored from its evicted floor if
-  /// one exists) on first use.
-  SequenceTracker& tracker_for(const std::string& agent_id)
+  /// record_for() the frame's peek_identity() sender, or kUnattributedAgent.
+  AgentRecord& sender_of(std::string_view wire) PRAXI_REQUIRES(state_mutex_);
+  /// Charges one outcome to `record`, to totals_, and to the registry.
+  void charge(AgentRecord& record, Outcome outcome)
       PRAXI_REQUIRES(state_mutex_);
   /// Full durable dedup state — resident trackers plus evicted floors —
   /// for WAL compaction snapshots.
@@ -223,17 +223,15 @@ class DiscoveryServer {
   std::map<std::string, std::set<std::string>> inventory_
       PRAXI_GUARDED_BY(state_mutex_);
   std::string server_label_;
-  std::map<std::string, AgentCounters> agent_counters_
-      PRAXI_GUARDED_BY(state_mutex_);
-  /// Exactly-once processing over an at-least-once wire: one tracker per
-  /// agent, keyed by the report's own sequence field.
-  std::map<std::string, SequenceTracker> sequences_
-      PRAXI_GUARDED_BY(state_mutex_);
+  std::map<std::string, AgentRecord> agents_ PRAXI_GUARDED_BY(state_mutex_);
+  AgentIngestStats totals_ PRAXI_GUARDED_BY(state_mutex_);
   /// Floors of evicted idle agents (ServerConfig::max_resident_agents):
   /// one u64 per agent instead of a whole tracker.
   std::map<std::string, std::uint64_t> evicted_floors_
       PRAXI_GUARDED_BY(state_mutex_);
   std::unique_ptr<WriteAheadLog> wal_;
+  /// praxi_server_reports_total{server, outcome}.
+  std::array<obs::Counter*, 5> reports_total_{};
   obs::Histogram* process_seconds_ = nullptr;
   obs::Counter* discoveries_total_ = nullptr;
   obs::Gauge* agents_gauge_ = nullptr;

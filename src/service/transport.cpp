@@ -47,11 +47,6 @@ ChangesetReport ChangesetReport::from_wire(std::string_view bytes) {
   return report;
 }
 
-std::string ChangesetReport::peek_agent_id(std::string_view bytes) noexcept {
-  auto identity = peek_identity(bytes);
-  return identity ? std::move(identity->agent_id) : std::string{};
-}
-
 std::optional<ReportIdentity> ChangesetReport::peek_identity(
     std::string_view bytes) noexcept {
   try {

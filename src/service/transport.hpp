@@ -82,16 +82,11 @@ struct ChangesetReport {
   /// `bytes` (the server's ingest path). from_wire is view_wire plus a copy.
   static ReportView view_wire(std::string_view bytes);
 
-  /// Best-effort agent attribution for frames from_wire rejected: returns
-  /// the agent id if the frame's magic matches and an id string can be read
-  /// (without requiring the checksum or version to be valid), empty
-  /// otherwise. Lets the server charge malformed input to the agent that
-  /// sent it instead of only a global counter.
-  static std::string peek_agent_id(std::string_view bytes) noexcept;
-
-  /// Like peek_agent_id but also reads the per-agent sequence, for
-  /// acknowledgment bookkeeping (MessageBus::ack) and dedup diagnostics.
-  /// nullopt when no plausible identity can be read.
+  /// Best-effort (agent, sequence) of a frame, read without requiring the
+  /// checksum or version to be valid: nullopt unless the magic matches and a
+  /// plausible id can be read. Lets the server charge malformed input to
+  /// the agent that sent it, and keys acknowledgment bookkeeping
+  /// (MessageBus::ack, the cluster's in-flight tables).
   static std::optional<ReportIdentity> peek_identity(
       std::string_view bytes) noexcept;
 };

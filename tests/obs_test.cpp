@@ -3,7 +3,9 @@
 // histogram bucket boundaries, exposition goldens (Prometheus text and
 // JSON, byte-exact — the renderers are deterministic by design), a
 // concurrency smoke test sized for TSan, and the DiscoveryServer
-// integration (per-stage instruments advance during process()).
+// integration (per-stage instruments advance during process(); ingest
+// counts survive disabled metrics; per-server series stay independent of
+// fleet size).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -239,7 +241,7 @@ TEST(RenderJson, EmptyRegistry) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency smoke test — sized so TSan (tools/check.sh --tsan-obs) gets
+// Concurrency smoke test — sized so TSan (tools/check.sh --tsan) gets
 // real interleavings; with atomics-only fast paths the final values must
 // still be exact.
 // ---------------------------------------------------------------------------
@@ -357,20 +359,15 @@ TEST_F(ObsIntegrationTest, ServerProcessAdvancesStageInstruments) {
             columbus_before);
   EXPECT_EQ(MetricsRegistry::global().counter_value(
                 "praxi_server_reports_total",
-                {{"server", server.server_label()},
-                 {"agent", "vm-obs"},
-                 {"outcome", "processed"}}),
+                {{"server", server.server_label()}, {"outcome", "processed"}}),
             3u);
-  EXPECT_EQ(
-      MetricsRegistry::global().counter_value(
-          "praxi_server_reports_total",
-          {{"server", server.server_label()},
-           {"agent", service::DiscoveryServer::kUnattributedAgent},
-           {"outcome", "malformed"}}),
-      1u);
-  // The thin view over the registry agrees with the raw counters.
+  EXPECT_EQ(MetricsRegistry::global().counter_value(
+                "praxi_server_reports_total",
+                {{"server", server.server_label()}, {"outcome", "malformed"}}),
+            1u);
+  // The registry's per-server series agree with the server's own totals.
   EXPECT_EQ(server.processed(), 3u);
-  EXPECT_EQ(server.malformed(), 1u);
+  EXPECT_EQ(server.totals().malformed, 1u);
   const auto stats = server.ingest_stats();
   ASSERT_EQ(stats.count("vm-obs"), 1u);
   EXPECT_EQ(stats.at("vm-obs").processed, 3u);
@@ -412,6 +409,105 @@ TEST_F(ObsIntegrationTest, MlAndEngineInstrumentsCarryData) {
     }
   }
   EXPECT_TRUE(found_train);
+}
+
+/// Restores the global registry's enabled gate on scope exit, so a failing
+/// assertion cannot leave later tests with metrics switched off.
+class RegistryGateGuard {
+ public:
+  RegistryGateGuard() : was_enabled_(MetricsRegistry::global().enabled()) {}
+  ~RegistryGateGuard() { MetricsRegistry::global().set_enabled(was_enabled_); }
+  RegistryGateGuard(const RegistryGateGuard&) = delete;
+  RegistryGateGuard& operator=(const RegistryGateGuard&) = delete;
+
+ private:
+  bool was_enabled_;
+};
+
+TEST_F(ObsIntegrationTest, ServerCountsIngestWithMetricsDisabled) {
+  // Ingest outcomes are server state, not telemetry: switching metrics off
+  // freezes the registry but must not stop processed()/totals(), which
+  // `praxi-cli serve --max-reports` and the load generators loop on.
+  const RegistryGateGuard gate;
+  service::ServerConfig config;
+  config.runtime.metrics_enabled = false;
+  service::DiscoveryServer server(*model_, config);
+  ASSERT_FALSE(MetricsRegistry::global().enabled());
+
+  service::MessageBus bus;
+  std::vector<std::string> wires;
+  for (std::size_t i = 0; i < 3; ++i) {
+    service::ChangesetReport report;
+    report.agent_id = "vm-quiet";
+    report.sequence = i;
+    report.changeset = dataset_->changesets.at(i);
+    wires.push_back(report.to_wire());
+    bus.send(wires.back());
+  }
+  bus.send(wires.front());  // redelivery
+  bus.send("not a frame");
+  server.process(bus);
+
+  const service::AgentIngestStats totals = server.totals();
+  EXPECT_EQ(totals.processed, 3u);
+  EXPECT_EQ(totals.duplicate, 1u);
+  EXPECT_EQ(totals.malformed, 1u);
+  EXPECT_EQ(server.processed(), 3u);
+  EXPECT_EQ(server.duplicates(), 1u);
+
+  const auto stats = server.ingest_stats();
+  ASSERT_EQ(stats.count("vm-quiet"), 1u);
+  EXPECT_EQ(stats.at("vm-quiet").processed, 3u);
+  EXPECT_EQ(stats.at("vm-quiet").duplicate, 1u);
+  ASSERT_EQ(stats.count(service::DiscoveryServer::kUnattributedAgent), 1u);
+  EXPECT_EQ(stats.at(service::DiscoveryServer::kUnattributedAgent).malformed,
+            1u);
+
+  // The registry itself stayed frozen.
+  EXPECT_EQ(MetricsRegistry::global().counter_value(
+                "praxi_server_reports_total",
+                {{"server", server.server_label()}, {"outcome", "processed"}}),
+            0u);
+}
+
+/// Registry series carrying this server's label across every
+/// praxi_server_* family.
+std::size_t server_series(const std::string& server_label) {
+  std::size_t count = 0;
+  for (const auto& family : MetricsRegistry::global().collect()) {
+    if (family.name.rfind("praxi_server_", 0) != 0) continue;
+    for (const auto& series : family.series) {
+      for (const auto& [key, value] : series.labels) {
+        if (key == "server" && value == server_label) ++count;
+      }
+    }
+  }
+  return count;
+}
+
+TEST_F(ObsIntegrationTest, ServerSeriesDoNotGrowWithFleetSize) {
+  // Per-agent outcomes live in the server (ingest_stats()); the registry
+  // carries only per-server series, so a large fleet cannot blow up the
+  // scrape.
+  service::DiscoveryServer server(*model_);
+  service::MessageBus bus;
+  const auto send_from = [&bus](std::size_t agent) {
+    service::ChangesetReport report;
+    report.agent_id = "vm-" + std::to_string(agent);
+    report.sequence = 0;
+    bus.send(report.to_wire());  // empty window: counted, not classified
+  };
+
+  send_from(0);
+  server.process(bus);
+  const std::size_t one_agent = server_series(server.server_label());
+  EXPECT_GT(one_agent, 0u);
+
+  for (std::size_t agent = 1; agent < 1000; ++agent) send_from(agent);
+  server.process(bus);
+  EXPECT_EQ(server.processed(), 1000u);
+  EXPECT_EQ(server.ingest_stats().size(), 1000u);
+  EXPECT_EQ(server_series(server.server_label()), one_agent);
 }
 
 }  // namespace

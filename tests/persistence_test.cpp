@@ -334,7 +334,7 @@ TEST(FuzzRegression, SvmRejectsHostileSupportVectorCount) {
 
 TEST(FuzzRegression, WireReportRejectsHostileAgentIdLength) {
   // PRPT: agent-id string length u32 at payload offset 0 pointing far past
-  // the frame; peek_agent_id must also stay noexcept-silent on it.
+  // the frame; peek_identity must also stay noexcept-silent on it.
   service::ChangesetReport report;
   report.agent_id = "vm-042";
   report.sequence = 7;
@@ -343,7 +343,7 @@ TEST(FuzzRegression, WireReportRejectsHostileAgentIdLength) {
     overwrite<std::uint32_t>(p, 0, 0x7FFFFFFFu);
   });
   EXPECT_THROW(service::ChangesetReport::from_wire(bad), SerializeError);
-  EXPECT_EQ(service::ChangesetReport::peek_agent_id(bad), "");
+  EXPECT_FALSE(service::ChangesetReport::peek_identity(bad).has_value());
 }
 
 /// Decodes a frame the way the server does — view, screen, extract — and

@@ -193,7 +193,7 @@ TEST_F(ServiceTest, MalformedMessagesSkippedNotFatal) {
   bus.send(good.to_wire());
 
   EXPECT_NO_THROW(server.process(bus));
-  EXPECT_EQ(server.malformed(), 1u);
+  EXPECT_EQ(server.totals().malformed, 1u);
   EXPECT_EQ(server.processed(), 1u);
 }
 
@@ -288,9 +288,12 @@ TEST(ChangesetReport, PeekAgentIdSurvivesPayloadCorruption) {
   // frame, yet peek still attributes it to the sender.
   wire[wire.size() - 2] = static_cast<char>(wire[wire.size() - 2] ^ 0x40);
   EXPECT_THROW(ChangesetReport::from_wire(wire), SerializeError);
-  EXPECT_EQ(ChangesetReport::peek_agent_id(wire), "vm-peek");
-  EXPECT_EQ(ChangesetReport::peek_agent_id("random junk"), "");
-  EXPECT_EQ(ChangesetReport::peek_agent_id(""), "");
+  const auto identity = ChangesetReport::peek_identity(wire);
+  ASSERT_TRUE(identity.has_value());
+  EXPECT_EQ(identity->agent_id, "vm-peek");
+  EXPECT_EQ(identity->sequence, 3u);
+  EXPECT_FALSE(ChangesetReport::peek_identity("random junk").has_value());
+  EXPECT_FALSE(ChangesetReport::peek_identity("").has_value());
 }
 
 TEST_F(ServiceTest, IngestStatsAttributeCorruptionPerAgent) {
@@ -316,8 +319,8 @@ TEST_F(ServiceTest, IngestStatsAttributeCorruptionPerAgent) {
 
   EXPECT_NO_THROW(server.process(bus));
   EXPECT_EQ(server.processed(), 2u);
-  EXPECT_EQ(server.malformed(), 2u);
-  EXPECT_EQ(server.version_mismatched(), 0u);
+  EXPECT_EQ(server.totals().malformed, 2u);
+  EXPECT_EQ(server.totals().version_mismatch, 0u);
 
   const auto& stats = server.ingest_stats();
   ASSERT_EQ(stats.count("vm-healthy"), 1u);
@@ -346,8 +349,8 @@ TEST_F(ServiceTest, VersionSkewCountedSeparatelyFromCorruption) {
   bus.send(wire);
 
   EXPECT_NO_THROW(server.process(bus));
-  EXPECT_EQ(server.version_mismatched(), 1u);
-  EXPECT_EQ(server.malformed(), 0u);
+  EXPECT_EQ(server.totals().version_mismatch, 1u);
+  EXPECT_EQ(server.totals().malformed, 0u);
   EXPECT_EQ(server.processed(), 0u);
   const auto& stats = server.ingest_stats();
   ASSERT_EQ(stats.count("vm-upgraded"), 1u);

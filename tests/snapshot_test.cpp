@@ -3,7 +3,7 @@
 // snapshot_publish_every cadence knob, bit-exactness of the snapshot path
 // against the legacy shims and against a sequential model, reader/trainer
 // concurrency with per-epoch attribution, and the server's pinned-epoch
-// contract. tools/check.sh --tsan-ml rebuilds this binary under
+// contract. tools/check.sh --tsan rebuilds this binary under
 // ThreadSanitizer to prove the lock-free hot path race-free.
 #include "core/model_snapshot.hpp"
 
@@ -223,7 +223,7 @@ TEST_F(SnapshotDeterminismTest, PublishCadenceNeverChangesTheModel) {
 // and publishes an epoch per update. Every observed prediction must be
 // attributable to exactly one published epoch: the trainer records what each
 // epoch answers for a fixed probe, readers record what they saw, and the two
-// tables must agree. Under tools/check.sh --tsan-ml this same binary runs
+// tables must agree. Under tools/check.sh --tsan this same binary runs
 // under ThreadSanitizer, proving the hot path takes no lock and races with
 // nothing.
 TEST(SnapshotConcurrency, EveryPredictionAttributableToOneEpoch) {

@@ -712,7 +712,7 @@ TEST_F(FaultMatrixTest, InterleavedV1AndV2FramesMatchAV1OnlyRun) {
     }
     auto discoveries = server.process(bus);
     EXPECT_EQ(server.processed(), reports.size());
-    EXPECT_EQ(server.malformed(), 0u);
+    EXPECT_EQ(server.totals().malformed, 0u);
     for (const auto& report : reports) {
       EXPECT_TRUE(bus.acknowledged(report.agent_id, report.sequence));
     }
@@ -752,8 +752,8 @@ TEST_F(FaultMatrixTest, VersionThreeFrameCountsAsVersionMismatchAndSettles) {
   service::DiscoveryServer server(*model_, config);
   bus.send(v3);
   EXPECT_TRUE(server.process(bus).empty());
-  EXPECT_EQ(server.version_mismatched(), 1u);
-  EXPECT_EQ(server.malformed(), 0u);
+  EXPECT_EQ(server.totals().version_mismatch, 1u);
+  EXPECT_EQ(server.totals().malformed, 0u);
   EXPECT_EQ(server.processed(), 0u);
   EXPECT_EQ(server.ingest_stats().at(report.agent_id).version_mismatch, 1u);
   // Settled: resending identical bytes could never help.

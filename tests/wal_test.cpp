@@ -702,6 +702,39 @@ TEST_F(WalServerTest, IdleAgentsEvictToFloorsWithoutForgettingDedup) {
   EXPECT_EQ(server.duplicates(), 1u);
 }
 
+TEST_F(WalServerTest, MalformedFrameFromEvictedAgentKeepsItsFloor) {
+  // A corrupt frame is charged to the agent it names through the same
+  // restore path as a valid one, so the agent's evicted floor comes back
+  // with it instead of being shadowed by a fresh tracker.
+  ServerConfig config = tiny_server_config();
+  config.max_resident_agents = 1;
+  DiscoveryServer server(*model_, config);
+  MessageBus bus;
+
+  std::vector<std::string> wires;
+  for (std::size_t agent = 0; agent < 2; ++agent) {
+    ChangesetReport report;
+    report.agent_id = "vm-" + std::to_string(agent);
+    report.sequence = 0;
+    report.changeset = training_corpus()[agent];
+    wires.push_back(report.to_wire());
+    bus.send(wires.back());
+    server.process(bus);
+  }
+  ASSERT_EQ(server.resident_agents(), 1u) << "vm-0 folded to its floor";
+
+  std::string corrupt = wires[0];
+  corrupt.back() = static_cast<char>(corrupt.back() ^ 0x01);
+  bus.send(corrupt);
+  bus.send(wires[0]);  // vm-0's settled report, redelivered
+  server.process(bus);
+
+  const AgentIngestStats totals = server.totals();
+  EXPECT_EQ(totals.malformed, 1u);
+  EXPECT_EQ(totals.duplicate, 1u);
+  EXPECT_EQ(totals.processed, 2u);
+}
+
 TEST_F(WalServerTest, EvictedFloorsAreIncludedInCompactionSnapshots) {
   TempWalDir dir("evict_compact");
   {

@@ -20,21 +20,10 @@
 #                              micro-benches (build-rot canary, not a
 #                              measurement)
 #   tools/check.sh --format    verify formatting (no rewrite)
-#   tools/check.sh --tsan-obs  ThreadSanitizer pass over the metrics
-#                              registry's concurrency tests (needs clang)
-#   tools/check.sh --tsan-net  ThreadSanitizer pass over the socket
-#                              transport's concurrency tests (needs clang)
-#   tools/check.sh --tsan-wal  ThreadSanitizer pass over the WAL and the
-#                              server restart/ingest concurrency tests
-#                              (needs clang)
-#   tools/check.sh --tsan-ml   ThreadSanitizer pass over the serve-while-
-#                              learn snapshot tests: predict threads hammer
-#                              snapshot() while a trainer streams SGD and
-#                              publishes epochs (needs clang)
-#   tools/check.sh --tsan-cluster  ThreadSanitizer pass over the sharded
-#                              cluster tests: concurrent agent senders
-#                              against the ShardRouter's per-shard worker
-#                              threads and round barrier (needs clang)
+#   tools/check.sh --tsan      ThreadSanitizer pass over the concurrency
+#                              tests: metrics registry, socket transport,
+#                              WAL + restart/ingest, serve-while-learn
+#                              snapshots, sharded cluster (needs clang)
 #
 # Lane flags can be combined (e.g. `--lint --tsa`). Every run ends with a
 # summary table: which lanes ran, which were skipped, which failed.
@@ -150,96 +139,39 @@ run_bench_smoke() {
   ./build/bench/load_cluster --smoke
 }
 
-run_tsan_obs() {
-  # The metrics registry promises lock-free concurrent updates against
-  # concurrent collect()/render; obs_test hammers that promise with racing
-  # writers, a registering thread, and a reading thread. TSan proves the
-  # absence of data races, not just the absence of wrong answers. GCC's
-  # TSan runtime is flaky with std::atomic<double> CAS loops on some
-  # distros, so this lane insists on clang and skips otherwise.
+run_tsan() {
+  # TSan proves the absence of data races, not just the absence of wrong
+  # answers, so it runs over every suite that hammers a concurrency
+  # promise, in one build-tsan tree:
+  #   obs_test       lock-free metric updates vs concurrent collect/render
+  #   net_test       per-connection reader threads + accept loop draining
+  #                  into one bounded queue while clients push
+  #   wal_test,      the deepest lock nesting (server state -> store ->
+  #   transport_test pool -> registry -> WAL) through restarts and
+  #                  at-least-once redelivery (FaultMatrixTest)
+  #   snapshot_test  predict threads reading frozen snapshots while the
+  #                  trainer publishes epochs (zero locks on that path)
+  #   cluster_test   per-shard workers against the router's round barrier,
+  #                  fed by socket agents through one frontend
+  # GCC's TSan runtime is flaky with std::atomic<double> CAS loops on some
+  # distros (and flags libstdc++'s atomic<shared_ptr>), so this lane insists
+  # on clang and skips otherwise.
   if ! command -v clang++ >/dev/null; then
-    skip "clang++ not installed (tsan-obs lane; gcc tier-1 still runs obs_test)"
+    skip "clang++ not installed (tsan lane; gcc tier-1 still runs every \
+one of these tests)"
   fi
-  note "ThreadSanitizer: obs_test (metrics registry concurrency)"
-  cmake -B build-tsan-obs -S . -DPRAXI_SANITIZE=thread \
+  note "ThreadSanitizer: obs, net, wal, transport FaultMatrix, snapshot, \
+cluster ShardRouter"
+  cmake -B build-tsan -S . -DPRAXI_SANITIZE=thread \
     -DCMAKE_CXX_COMPILER=clang++ -DCMAKE_C_COMPILER=clang >/dev/null
-  cmake --build build-tsan-obs -j "$JOBS" --target obs_test
-  ./build-tsan-obs/tests/obs_test
-}
-
-run_tsan_net() {
-  # The socket server runs one reader thread per connection plus an accept
-  # loop, all draining into one bounded queue while clients hammer it from
-  # their own threads; net_test's end-to-end case is exactly the workload
-  # where a data race would hide. Same clang-only policy as tsan-obs.
-  if ! command -v clang++ >/dev/null; then
-    skip "clang++ not installed (tsan-net lane; gcc tier-1 still runs net_test)"
-  fi
-  note "ThreadSanitizer: net_test (socket transport concurrency)"
-  cmake -B build-tsan-net -S . -DPRAXI_SANITIZE=thread \
-    -DCMAKE_CXX_COMPILER=clang++ -DCMAKE_C_COMPILER=clang >/dev/null
-  cmake --build build-tsan-net -j "$JOBS" --target net_test
-  ./build-tsan-net/tests/net_test
-}
-
-run_tsan_wal() {
-  # The WAL settle path takes the deepest lock nesting in the tree —
-  # server state -> tagset store -> pool -> registry -> WAL
-  # (docs/CONCURRENCY.md) — and transport_test's FaultMatrixTest drives it
-  # through restarts and at-least-once redelivery, where a race would
-  # corrupt the exactly-once guarantee silently. wal_test covers the log
-  # itself. Same clang-only policy as the other tsan lanes.
-  if ! command -v clang++ >/dev/null; then
-    skip "clang++ not installed (tsan-wal lane; gcc tier-1 still runs \
-wal_test + transport_test)"
-  fi
-  note "ThreadSanitizer: wal_test + transport_test FaultMatrix (WAL and \
-restart/ingest concurrency)"
-  cmake -B build-tsan-wal -S . -DPRAXI_SANITIZE=thread \
-    -DCMAKE_CXX_COMPILER=clang++ -DCMAKE_C_COMPILER=clang >/dev/null
-  cmake --build build-tsan-wal -j "$JOBS" --target wal_test transport_test
-  ./build-tsan-wal/tests/wal_test
-  ./build-tsan-wal/tests/transport_test --gtest_filter='FaultMatrixTest.*'
-}
-
-run_tsan_ml() {
-  # The serve-while-learn contract (docs/API.md): predict threads read
-  # frozen ModelSnapshots through one atomic shared_ptr while the trainer
-  # mutates the live weights and publishes new epochs — zero locks on the
-  # hot path, so TSan is the only tool that can prove the absence of a
-  # data race there (snapshot_test's concurrency case only proves the
-  # absence of wrong answers). Same clang-only policy as the other tsan
-  # lanes.
-  if ! command -v clang++ >/dev/null; then
-    skip "clang++ not installed (tsan-ml lane; gcc tier-1 still runs \
-snapshot_test)"
-  fi
-  note "ThreadSanitizer: snapshot_test (RCU snapshot publish/predict \
-concurrency)"
-  cmake -B build-tsan-ml -S . -DPRAXI_SANITIZE=thread \
-    -DCMAKE_CXX_COMPILER=clang++ -DCMAKE_C_COMPILER=clang >/dev/null
-  cmake --build build-tsan-ml -j "$JOBS" --target snapshot_test
-  ./build-tsan-ml/tests/snapshot_test
-}
-
-run_tsan_cluster() {
-  # The ShardRouter runs one worker thread per shard against a round
-  # barrier while agent threads push through send(); the sweep then moves
-  # settled frames back to the router thread. A race anywhere in that
-  # hand-off would silently break the cluster's ack-after-settle contract,
-  # so TSan proves its absence over the concurrent-senders and
-  # restart-mid-stream cases. Same clang-only policy as the other tsan
-  # lanes.
-  if ! command -v clang++ >/dev/null; then
-    skip "clang++ not installed (tsan-cluster lane; gcc tier-1 still runs \
-cluster_test)"
-  fi
-  note "ThreadSanitizer: cluster_test (shard router round/worker \
-concurrency)"
-  cmake -B build-tsan-cluster -S . -DPRAXI_SANITIZE=thread \
-    -DCMAKE_CXX_COMPILER=clang++ -DCMAKE_C_COMPILER=clang >/dev/null
-  cmake --build build-tsan-cluster -j "$JOBS" --target cluster_test
-  ./build-tsan-cluster/tests/cluster_test --gtest_filter='ShardRouterTest.*'
+  cmake --build build-tsan -j "$JOBS" --target obs_test net_test wal_test \
+    transport_test snapshot_test cluster_test
+  ./build-tsan/tests/obs_test
+  ./build-tsan/tests/net_test
+  ./build-tsan/tests/wal_test
+  ./build-tsan/tests/transport_test --gtest_filter='FaultMatrixTest.*'
+  ./build-tsan/tests/snapshot_test
+  ./build-tsan/tests/cluster_test --gtest_filter='ShardRouterTest.*'
 }
 
 run_format() {
@@ -256,8 +188,7 @@ run_format() {
 # skip via exit 77) never tears down the driver; results accumulate into the
 # end-of-run summary table.
 
-ALL_LANES=(tier1 werror tsa tidy lint bench-smoke tsan-obs tsan-net
-           tsan-wal tsan-ml tsan-cluster format)
+ALL_LANES=(tier1 werror tsa tidy lint bench-smoke tsan format)
 LANES_RAN=()
 LANES_SKIPPED=()
 LANES_FAILED=()
@@ -292,15 +223,14 @@ run_lane() {
 
 usage() {
   echo "usage: tools/check.sh [--all] [--tier1|--werror|--tsa|--tidy|" \
-       "--lint|--fuzz|--bench-smoke|--format|--tsan-obs|--tsan-net|" \
-       "--tsan-wal|--tsan-ml|--tsan-cluster]..." >&2
+       "--lint|--fuzz|--bench-smoke|--format|--tsan]..." >&2
 }
 
 SELECTED=()
 for arg in "$@"; do
   case "$arg" in
     --all) KEEP_GOING=1 ;;
-    --tier1|--werror|--tsa|--tidy|--lint|--fuzz|--bench-smoke|--format|--tsan-obs|--tsan-net|--tsan-wal|--tsan-ml|--tsan-cluster)
+    --tier1|--werror|--tsa|--tidy|--lint|--fuzz|--bench-smoke|--format|--tsan)
       SELECTED+=("${arg#--}") ;;
     *) usage; exit 2 ;;
   esac
