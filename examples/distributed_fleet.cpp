@@ -132,7 +132,8 @@ int main(int argc, char** argv) {
   // ---- Inventory --------------------------------------------------------------
   std::cout << "\nfleet inventory (" << server.processed()
             << " windows processed, "
-            << format_bytes(bus.stats().sent_bytes) << " shipped, tagset store "
+            << format_bytes(bus.stats().sent_bytes) << " shipped, "
+            << server.store().size() << " labeled tagsets in "
             << format_bytes(server.store().total_bytes()) << "):\n";
   for (const auto& [agent_id, discovered] : server.inventory()) {
     std::cout << "  " << agent_id << ":";

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
-#include <optional>
 #include <stdexcept>
 
 namespace praxi::cluster {
@@ -11,9 +10,10 @@ namespace praxi::cluster {
 namespace detail {
 
 /// The wire between the router and ONE shard: a queue the router feeds and
-/// the shard's DiscoveryServer drains, plus the in-flight table that
-/// remembers every drained frame until the shard settles it or the round
-/// ends.
+/// the shard's DiscoveryServer drains, plus the list of frames the shard
+/// settled this round. A frame never outlives its round, so no per-frame
+/// identity is kept: the round's delivered count minus its settled count
+/// is what the sweep leaves for the wire to redeliver.
 ///
 /// Lock rank kClusterShardQueue: the shard's server calls drain()/ack()
 /// while holding its own state lock (rank kServerState), the same shape as
@@ -40,8 +40,8 @@ class ShardTransport final : public service::Transport {
                                    "Frames queued for a shard.", labels);
     settle_seconds_ = &registry.histogram(
         "praxi_cluster_settle_seconds",
-        "Route-to-settle latency through the owning shard (queue wait + "
-        "classification + WAL fsync).",
+        "Latency from the round's first route to a frame's settle through "
+        "the owning shard (queue wait + classification + WAL fsync).",
         obs::latency_buckets());
   }
 
@@ -52,20 +52,13 @@ class ShardTransport final : public service::Transport {
 
   // --- Router-facing producer side ---
 
-  /// `identity` is the frame's peek_identity(), read once by the router.
-  void enqueue(std::string wire,
-               std::optional<service::ReportIdentity> identity)
-      PRAXI_EXCLUDES(mutex_) {
-    Entry entry;
-    if (identity) {
-      entry.agent_id = std::move(identity->agent_id);
-      entry.sequence = identity->sequence;
-      entry.has_identity = true;
-    }
-    entry.wire = std::move(wire);
-    entry.enqueued_at = std::chrono::steady_clock::now();
+  void enqueue(std::string wire) PRAXI_EXCLUDES(mutex_) {
+    const auto now = std::chrono::steady_clock::now();
     common::LockGuard lock(mutex_);
-    queue_.push_back(std::move(entry));
+    // The worker drains the whole queue every round, so an empty queue
+    // means this is the round's first frame for this shard.
+    if (queue_.empty()) first_routed_at_ = now;
+    queue_.push_back(std::move(wire));
     ++enqueued_;
     routed_total_->inc();
     depth_gauge_->set(static_cast<double>(queue_.size()));
@@ -77,31 +70,26 @@ class ShardTransport final : public service::Transport {
   }
 
   /// Router sweep after the round barrier: hands back every settled frame
-  /// and drops the rest (the upstream wire redelivers them).
+  /// and counts the rest as dropped (the upstream wire redelivers them).
   Sweep sweep_round() PRAXI_EXCLUDES(mutex_) {
     common::LockGuard lock(mutex_);
     Sweep sweep;
-    for (auto& entry : in_flight_) {
-      if (entry.settled) {
-        sweep.settled.push_back(std::move(entry.wire));
-      } else {
-        ++sweep.dropped;
-        unsettled_total_->inc();
-      }
-    }
-    in_flight_.clear();
+    sweep.dropped = round_delivered_ - round_settled_.size();
+    unsettled_total_->inc(sweep.dropped);
+    sweep.settled = std::move(round_settled_);
+    round_settled_.clear();
+    round_delivered_ = 0;
     return sweep;
   }
 
   /// Shard crash simulation: queued and in-flight frames die with the
   /// process (they were never acknowledged upstream, so agents resend).
-  std::uint64_t clear() PRAXI_EXCLUDES(mutex_) {
+  void clear() PRAXI_EXCLUDES(mutex_) {
     common::LockGuard lock(mutex_);
-    const std::uint64_t lost = queue_.size() + in_flight_.size();
     queue_.clear();
-    in_flight_.clear();
+    round_settled_.clear();
+    round_delivered_ = 0;
     depth_gauge_->set(0.0);
-    return lost;
   }
 
   // --- service::Transport (the shard server's side) ---
@@ -114,38 +102,26 @@ class ShardTransport final : public service::Transport {
 
   std::vector<std::string> drain() PRAXI_EXCLUDES(mutex_) override {
     common::LockGuard lock(mutex_);
-    std::vector<std::string> wires;
-    wires.reserve(queue_.size());
-    for (auto& entry : queue_) {
-      wires.push_back(entry.wire);  // copy: the table keeps the original
-      delivered_ += 1;
-      delivered_bytes_ += entry.wire.size();
-      in_flight_.push_back(std::move(entry));
-    }
+    std::vector<std::string> wires(std::make_move_iterator(queue_.begin()),
+                                   std::make_move_iterator(queue_.end()));
     queue_.clear();
     depth_gauge_->set(0.0);
+    round_delivered_ += wires.size();
+    delivered_ += wires.size();
+    for (const auto& wire : wires) delivered_bytes_ += wire.size();
     return wires;
   }
 
+  /// The shard settled one drained frame: keep its bytes for the upstream
+  /// ack. DiscoveryServer acks each drained frame at most once.
   void ack(std::string_view wire_bytes) PRAXI_EXCLUDES(mutex_) override {
-    const auto identity = service::ChangesetReport::peek_identity(wire_bytes);
     const auto now = std::chrono::steady_clock::now();
     common::LockGuard lock(mutex_);
-    for (auto& entry : in_flight_) {
-      if (entry.settled) continue;
-      const bool match =
-          (identity && entry.has_identity &&
-           entry.agent_id == identity->agent_id &&
-           entry.sequence == identity->sequence) ||
-          (!identity && entry.wire == wire_bytes);
-      if (!match) continue;
-      entry.settled = true;
-      ++settled_;
-      settled_total_->inc();
-      settle_seconds_->observe(
-          std::chrono::duration<double>(now - entry.enqueued_at).count());
-      return;
-    }
+    round_settled_.emplace_back(wire_bytes);
+    ++settled_;
+    settled_total_->inc();
+    settle_seconds_->observe(
+        std::chrono::duration<double>(now - first_routed_at_).count());
   }
 
   void close() override {}
@@ -157,26 +133,22 @@ class ShardTransport final : public service::Transport {
     stats.delivered_frames = delivered_;
     stats.delivered_bytes = delivered_bytes_;
     stats.acked_frames = settled_;
-    stats.pending_frames = queue_.size() + in_flight_.size();
+    stats.pending_frames = queue_.size() + round_delivered_;
     return stats;
   }
 
  private:
-  struct Entry {
-    std::string wire;
-    std::string agent_id;
-    std::uint64_t sequence = 0;
-    bool has_identity = false;
-    bool settled = false;
-    std::chrono::steady_clock::time_point enqueued_at;
-  };
-
   const std::string label_;
   const std::string mutex_name_;  ///< must outlive mutex_ (declared first)
   mutable common::Mutex mutex_{mutex_name_.c_str(),
                                common::LockRank::kClusterShardQueue};
-  std::deque<Entry> queue_ PRAXI_GUARDED_BY(mutex_);
-  std::vector<Entry> in_flight_ PRAXI_GUARDED_BY(mutex_);
+  std::deque<std::string> queue_ PRAXI_GUARDED_BY(mutex_);
+  /// This round's settled frames and drained-frame count; reset by the
+  /// sweep.
+  std::vector<std::string> round_settled_ PRAXI_GUARDED_BY(mutex_);
+  std::uint64_t round_delivered_ PRAXI_GUARDED_BY(mutex_) = 0;
+  std::chrono::steady_clock::time_point first_routed_at_
+      PRAXI_GUARDED_BY(mutex_);
   std::uint64_t enqueued_ PRAXI_GUARDED_BY(mutex_) = 0;
   std::uint64_t delivered_ PRAXI_GUARDED_BY(mutex_) = 0;
   std::uint64_t delivered_bytes_ PRAXI_GUARDED_BY(mutex_) = 0;
@@ -257,18 +229,16 @@ void ShardRouter::worker_loop(std::size_t index) {
 }
 
 void ShardRouter::route(std::string wire_bytes) {
-  // One identity parse per frame: it picks the shard here and keys the
-  // shard's in-flight table for settle matching.
-  auto identity = service::ChangesetReport::peek_identity(wire_bytes);
-  // Unattributable frames still route deterministically (to the empty
-  // key's owner) so the owning shard can count them malformed.
+  // One identity parse per frame, only to pick the shard. Unattributable
+  // frames still route deterministically (to the empty key's owner) so the
+  // owning shard can count them malformed.
+  const auto identity = service::ChangesetReport::peek_identity(wire_bytes);
   const std::uint32_t shard =
       ring_.shard_for(identity ? std::string_view(identity->agent_id)
                                : std::string_view());
   routed_frames_.fetch_add(1, std::memory_order_relaxed);
   routed_bytes_.fetch_add(wire_bytes.size(), std::memory_order_relaxed);
-  shards_[shard]->transport->enqueue(std::move(wire_bytes),
-                                     std::move(identity));
+  shards_[shard]->transport->enqueue(std::move(wire_bytes));
 }
 
 std::vector<service::Discovery> ShardRouter::process(

@@ -24,11 +24,11 @@
 // kServerState) against its own ShardTransport (rank kClusterShardQueue).
 // The router's coordination mutex (rank kClusterRouter, outermost) is only
 // ever held around flag flips, never across shard code. After the barrier
-// the router thread sweeps each shard's in-flight table: settled frames
-// are acknowledged upstream; unsettled frames (malformed, held-window
-// overflow) are dropped for the at-least-once wire to redeliver — exactly
-// the MessageBus disposition, one layer up. Nothing per report outlives
-// the round.
+// the router thread sweeps each shard: the frames it settled this round
+// are acknowledged upstream; the rest (malformed, held-window overflow)
+// are dropped for the at-least-once wire to redeliver — exactly the
+// MessageBus disposition, one layer up. Nothing per report outlives the
+// round.
 #pragma once
 
 #include <atomic>
@@ -52,7 +52,7 @@
 namespace praxi::cluster {
 
 namespace detail {
-class ShardTransport;  // the per-shard queue + in-flight table (cpp-local)
+class ShardTransport;  // the per-shard queue + settled list (cpp-local)
 }  // namespace detail
 
 struct ClusterConfig {

@@ -64,13 +64,13 @@ enum class LockRank : int {
   /// SocketClient connection + resend-buffer state (serializes
   /// send/flush/close).
   kSocketClient = 60,
-  /// Per-shard ingest queue + in-flight table inside the cluster router's
+  /// Per-shard ingest queue + settled list inside the cluster router's
   /// inner ShardTransport (cluster/shard_router.hpp). Above kServerState
   /// because the shard's DiscoveryServer calls drain()/ack() on it while
   /// holding its own state lock — the same shape as kSocketServerState,
   /// which the router-facing SocketServer keeps for the frontend.
   kClusterShardQueue = 65,
-  /// SocketServer ingest queue + per-client sequence trackers. Acquired
+  /// SocketServer ingest queue. Acquired
   /// under kServerState via Transport::drain()/ack().
   kSocketServerState = 70,
   /// SocketServer connection list (accept thread + close).

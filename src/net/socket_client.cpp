@@ -200,9 +200,9 @@ void SocketClient::try_connect() {
 void SocketClient::disconnect() {
   stream_.close();
   decoder_.reset();
-  // Everything in flight on the dead connection must go again: the server
-  // deduplicates by (client_id, sequence), so over-sending is safe and
-  // under-sending is not.
+  // Everything in flight on the dead connection must go again: the
+  // DiscoveryServer deduplicates by the report's (agent, sequence), so
+  // over-sending is safe and under-sending is not.
   std::uint64_t resent = 0;
   for (auto& pending : unacked_) {
     if (pending.written || pending.offset > 0) {

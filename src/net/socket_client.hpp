@@ -7,11 +7,11 @@
 //
 //   * connect with a timeout, retried under bounded exponential backoff
 //     with deterministic jitter (common/rng.hpp — reproducible tests);
-//   * a hello frame opens every connection, naming the client so the
-//     server can deduplicate across reconnects;
+//   * a hello frame opens every connection, naming the client;
 //   * frames stay buffered until the matching kAck arrives; a reconnect
 //     resends everything unacknowledged (at-least-once delivery — the
-//     server's SequenceTracker makes processing exactly-once);
+//     DiscoveryServer's per-agent SequenceTracker makes processing
+//     exactly-once);
 //   * an ack overdue past ack_timeout_ms marks the link suspect and forces
 //     a reconnect-and-resend (recovers from silently lost frames);
 //   * a kBusy response (server ingest queue full) backs off before
@@ -59,8 +59,8 @@ struct WriteFault {
 struct SocketClientConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  /// Names this client in the hello frame; the server's dedup key. Agents
-  /// use their agent id.
+  /// Names this client in the hello frame and seeds its backoff jitter.
+  /// Agents use their agent id.
   std::string client_id = "agent";
   service::TransportConfig transport;
   /// Test hooks; empty = no injected faults.

@@ -38,7 +38,6 @@ struct SocketServer::Instruments {
   obs::Counter* tx_frames[5] = {};
   obs::Counter* rx_bytes = nullptr;
   obs::Counter* tx_bytes = nullptr;
-  obs::Counter* duplicates = nullptr;
   obs::Counter* overloads = nullptr;
   obs::Counter* protocol_errors = nullptr;
   obs::Gauge* connections = nullptr;
@@ -60,10 +59,6 @@ struct SocketServer::Instruments {
                                  {{"role", "server"}});
     tx_bytes = &registry.counter("praxi_net_tx_bytes_total", kBytesHelp,
                                  {{"role", "server"}});
-    duplicates = &registry.counter(
-        "praxi_net_duplicates_total",
-        "Redelivered frames suppressed by the per-client sequence tracker",
-        {{"role", "server"}});
     overloads = &registry.counter(
         "praxi_net_overload_total",
         "Frames refused with kBusy because the ingest queue was full",
@@ -184,70 +179,28 @@ bool SocketServer::handle_frame(Connection& conn, Frame& frame) {
 
   switch (frame.type) {
     case FrameType::kHello: {
-      if (!conn.client_id.empty()) return protocol_error();  // second hello
+      if (conn.hello_seen) return protocol_error();  // second hello
       if (frame.payload.empty() || frame.payload.size() > 256)
         return protocol_error();
-      conn.client_id = std::move(frame.payload);
+      conn.hello_seen = true;
       return true;
     }
     case FrameType::kData: {
-      if (conn.client_id.empty()) return protocol_error();  // hello first
-
-      enum class Verdict { kEnqueued, kDuplicate, kBusy };
-      Verdict verdict = Verdict::kBusy;
-      {
-        common::LockGuard lock(state_mutex_);
-        auto tracker = trackers_.find(conn.client_id);
-        if (tracker == trackers_.end()) {
-          tracker = trackers_
-                        .emplace(conn.client_id,
-                                 service::SequenceTracker(
-                                     config_.transport.max_held_sequences))
-                        .first;
-        }
-        // Screen with preview() BEFORE the queue-bound check: a duplicate
-        // was already settled, so it must be re-acked even while the queue
-        // is full — re-acking needs no queue space, and bouncing it would
-        // stall the client's resend loop on a frame this server already
-        // owns. preview() mutates nothing, so a frame refused below leaves
-        // no trace and its eventual resend is judged fresh.
-        switch (tracker->second.preview(frame.sequence)) {
-          case service::SequenceTracker::Admit::kDuplicate:
-            verdict = Verdict::kDuplicate;
-            break;
-          case service::SequenceTracker::Admit::kReject:
-            // Held-set cap reached (docs/DURABILITY.md): the frame was
-            // never settled, so kBusy — NOT an ack — makes the client
-            // hold off and resend once the window drains.
-            verdict = Verdict::kBusy;
-            break;
-          case service::SequenceTracker::Admit::kAccept:
-            if (queue_.size() >= config_.transport.queue_bound) {
-              // Bounded-queue overload: refuse without touching the
-              // tracker so the resend is not mistaken for a duplicate.
-              verdict = Verdict::kBusy;
-            } else {
-              tracker->second.admit(frame.sequence);
-              queue_.push_back(std::move(frame.payload));
-              instruments_->queue_depth->set(
-                  static_cast<double>(queue_.size()));
-              verdict = Verdict::kEnqueued;
-            }
-            break;
-        }
-      }
+      if (!conn.hello_seen) return protocol_error();  // hello first
 
       FrameType reply = FrameType::kAck;
-      if (verdict == Verdict::kBusy) {
+      {
+        common::LockGuard lock(state_mutex_);
+        if (queue_.size() >= config_.transport.queue_bound) {
+          reply = FrameType::kBusy;
+        } else {
+          queue_.push_back(std::move(frame.payload));
+          instruments_->queue_depth->set(static_cast<double>(queue_.size()));
+        }
+      }
+      if (reply == FrameType::kBusy) {
         overloads_.fetch_add(1, std::memory_order_relaxed);
         instruments_->overloads->inc();
-        reply = FrameType::kBusy;
-      } else if (verdict == Verdict::kDuplicate) {
-        // Redelivery after a lost ack: settle it again, don't enqueue.
-        duplicates_.fetch_add(1, std::memory_order_relaxed);
-        instruments_->duplicates->inc();
-      } else {
-        enqueued_.fetch_add(1, std::memory_order_relaxed);
       }
 
       const std::string wire = encode_frame(reply, frame.sequence);
@@ -301,7 +254,6 @@ service::TransportStats SocketServer::stats() const {
   s.delivered_bytes = delivered_bytes_.load(std::memory_order_relaxed);
   s.acked_frames = acked_.load(std::memory_order_relaxed);
   s.overloads = overloads_.load(std::memory_order_relaxed);
-  s.duplicates = duplicates_.load(std::memory_order_relaxed);
   s.malformed_frames = protocol_errors_.load(std::memory_order_relaxed);
   // Every busy bounce refused an intact frame without settling it.
   s.rejected_frames = s.overloads;

@@ -10,22 +10,17 @@
 //   * A kData frame is acknowledged the moment it is enqueued — delivery
 //     into this process is settled, so the client stops resending even if
 //     classification happens seconds later.
-//   * Redelivered frames (client resent after a lost ack) are recognized by
-//     (hello client id, frame sequence) via SequenceTracker, re-acked, and
-//     NOT enqueued — so a drained stream never carries transport-level
-//     duplicates.
 //   * When the queue is full the server answers kBusy instead of buffering
-//     without bound: the client backs off and resends, and the tracker is
-//     left untouched so the resend is not mistaken for a duplicate.
-//     Dedup is screened BEFORE the bound, so a redelivered frame is
-//     re-acked (it needs no queue space) even while the queue is full —
-//     overload must never bounce a frame the server already settled.
+//     without bound: the client backs off and resends.
+//   * This endpoint keeps no dedup state. A redelivered frame (client
+//     resent after a lost ack) is enqueued again; the consumer's per-agent
+//     SequenceTracker (DiscoveryServer) counts it as a duplicate and
+//     settles it, exactly as for any other at-least-once Transport.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -85,7 +80,7 @@ class SocketServer final : public service::Transport {
     TcpStream stream;
     std::thread reader;
     std::atomic<bool> done{false};
-    std::string client_id;  ///< set by the hello frame; reader-thread only
+    bool hello_seen = false;  ///< reader-thread only
   };
 
   void accept_loop();
@@ -105,8 +100,6 @@ class SocketServer final : public service::Transport {
   mutable common::Mutex state_mutex_{
       "socket_server_state", common::LockRank::kSocketServerState};
   std::deque<std::string> queue_ PRAXI_GUARDED_BY(state_mutex_);
-  std::map<std::string, service::SequenceTracker> trackers_
-      PRAXI_GUARDED_BY(state_mutex_);
 
   /// Accept thread + close(); innermost rank so either may hold it while
   /// the reader threads work under state_mutex_.
@@ -120,11 +113,9 @@ class SocketServer final : public service::Transport {
   // Lifetime totals (stats() + mirrored into praxi_net_* instruments).
   std::atomic<std::uint64_t> rx_frames_{0};
   std::atomic<std::uint64_t> rx_bytes_{0};
-  std::atomic<std::uint64_t> enqueued_{0};
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> delivered_bytes_{0};
   std::atomic<std::uint64_t> acked_{0};
-  std::atomic<std::uint64_t> duplicates_{0};
   std::atomic<std::uint64_t> overloads_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
 

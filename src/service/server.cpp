@@ -276,9 +276,9 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
     pending.push_back(std::move(item));
   }
 
-  // Phase 2 (concurrent): one tag extraction per report, reused for both
-  // prediction and the store — the wire bytes are not needed after this
-  // point (Praxi never needs to regenerate features, §V-C).
+  // Phase 2 (concurrent): one tag extraction per report, then prediction
+  // from those tags — the wire bytes are not needed after this point
+  // (Praxi never needs to regenerate features, §V-C).
   std::vector<const fs::ChangesetView*> changesets;
   std::vector<std::size_t> counts;
   changesets.reserve(pending.size());
@@ -289,7 +289,7 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
     changesets.push_back(&item.changeset);
     counts.push_back(item.n);
   }
-  auto tagsets = snap->extract_tags(
+  const auto tagsets = snap->extract_tags(
       std::span<const fs::ChangesetView* const>(changesets), model_.pool());
   auto predictions =
       snap->predict_tags(std::span<const columbus::TagSet>(tagsets),
@@ -300,8 +300,8 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
         "simulated crash between classification and settle commit");
   }
 
-  // Phase 3 (sequential): settle in arrival order so the store and
-  // inventory are deterministic regardless of thread count. Only now is
+  // Phase 3 (sequential): settle in arrival order so the inventory is
+  // deterministic regardless of thread count. Only now is
   // acceptance recorded (tracker + WAL), so everything before this line is
   // retryable.
   std::vector<Discovery> discoveries;
@@ -326,7 +326,6 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
     if (!item.classify) continue;
     Discovery discovery = std::move(item.discovery);
     discovery.applications = std::move(predictions[item.batch_index]);
-    store_.add(std::move(tagsets[item.batch_index]));
     for (const auto& app : discovery.applications) {
       inventory_[discovery.agent_id].insert(app);
     }

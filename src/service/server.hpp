@@ -5,8 +5,8 @@
 //   * a fleet inventory (agent -> discovered applications, with the window
 //     each discovery came from) — the paper's "searching for a specific
 //     piece of software among a large set of VMs or containers";
-//   * a TagsetStore of every processed window (Praxi's only retained
-//     training artifact, §V-C);
+//   * a TagsetStore of the labeled tagsets operators fed back (Praxi's only
+//     retained training artifact, §V-C) — classified reports keep none;
 //   * the model itself, which operators can improve ONLINE by feeding back
 //     confirmed labels — the incremental-training loop of §V-D, impossible
 //     in the DeltaSherlock architecture without a full retrain.
@@ -105,7 +105,8 @@ class DiscoveryServer {
   /// concurrently (ServerConfig::num_threads); returns the discoveries
   /// made (one per non-noise window), in arrival order. Malformed messages
   /// are counted and skipped, never fatal. Each report's tags are extracted
-  /// exactly once and reused for both prediction and the tagset store.
+  /// exactly once, predicted from, and dropped: store() keeps only the
+  /// labeled tagsets learn_feedback() learned from.
   /// The whole batch is classified against ONE pinned model snapshot
   /// (core/model_snapshot.hpp) whose epoch every returned Discovery
   /// carries, so a batch is internally consistent and WAL-settled against
@@ -144,7 +145,8 @@ class DiscoveryServer {
       PRAXI_EXCLUDES(state_mutex_);
 
   /// Operator feedback: a labeled changeset improves the model online —
-  /// new applications become discoverable without any retraining.
+  /// new applications become discoverable without any retraining. Its
+  /// tagset is added to store().
   void learn_feedback(const fs::Changeset& labeled_changeset)
       PRAXI_EXCLUDES(state_mutex_);
 
@@ -241,7 +243,7 @@ class DiscoveryServer {
 
 namespace testhooks {
 /// When true, process() throws after classification but before ANY settle
-/// effect (tracker mutation, WAL append, store/inventory commit, ack) —
+/// effect (tracker mutation, WAL append, inventory commit, ack) —
 /// simulating a crash in the worst window. Drained-but-unacked frames are
 /// redelivered by the at-least-once wire and must then process cleanly,
 /// exactly once.

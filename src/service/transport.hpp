@@ -11,7 +11,7 @@
 //     bytes, so the full serialize/deserialize path is exercised per hop.
 //   * `net::SocketClient` / `net::SocketServer` (src/net/) — the real TCP
 //     path: length-prefixed frames, timeouts, retry with backoff,
-//     reconnect-and-resend, server-side dedup (docs/SERVICE.md).
+//     reconnect-and-resend (docs/SERVICE.md).
 //   * `net::FaultyTransport` — a deterministic fault-injecting decorator
 //     (drops, duplicates, truncation, corruption, delay/reorder) so every
 //     robustness path is unit-testable without network flakiness.
@@ -85,8 +85,8 @@ struct ChangesetReport {
   /// Best-effort (agent, sequence) of a frame, read without requiring the
   /// checksum or version to be valid: nullopt unless the magic matches and a
   /// plausible id can be read. Lets the server charge malformed input to
-  /// the agent that sent it, and keys acknowledgment bookkeeping
-  /// (MessageBus::ack, the cluster's in-flight tables).
+  /// the agent that sent it, the cluster route a frame to its shard, and
+  /// MessageBus::ack record which report was settled.
   static std::optional<ReportIdentity> peek_identity(
       std::string_view bytes) noexcept;
 };
@@ -181,9 +181,9 @@ class Transport {
 /// floor are held individually. The held set is capped (`max_held`): once
 /// full, gap-creating sequences are *rejected* — distinct from duplicates —
 /// and must not be acknowledged, so the at-least-once wire redelivers them
-/// after the window drains (docs/DURABILITY.md). Used by net::SocketServer
-/// (per-connection frame sequences) and DiscoveryServer (per-agent report
-/// sequences).
+/// after the window drains (docs/DURABILITY.md). DiscoveryServer keeps one
+/// per agent, keyed by the report's own sequence field — the one dedup
+/// layer every Transport relies on.
 class SequenceTracker {
  public:
   SequenceTracker() = default;
@@ -227,14 +227,6 @@ class SequenceTracker {
     if (max_held_ != 0 && sequence != floor_ && seen_.size() >= max_held_)
       return Admit::kReject;
     return Admit::kAccept;
-  }
-
-  /// True exactly once per distinct sequence value; false on redelivery.
-  /// Convenience wrapper over admit() for callers that never configure a
-  /// held-set cap (with a cap, use admit() — a kReject also returns false
-  /// here and must not be conflated with a duplicate).
-  bool accept(std::uint64_t sequence) {
-    return admit(sequence) == Admit::kAccept;
   }
 
   /// Every sequence below this has been accepted.

@@ -26,6 +26,7 @@
 #include "net/faulty_transport.hpp"
 #include "net/socket_client.hpp"
 #include "net/socket_server.hpp"
+#include "obs/metrics.hpp"
 #include "pkg/dataset.hpp"
 #include "service/server.hpp"
 #include "service/transport.hpp"
@@ -321,14 +322,81 @@ TEST_F(ShardRouterTest, ConcurrentSendersSettleEveryFrameExactlyOnce) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   for (auto& sender : senders) sender.join();
-  router.process(frontend);
+  // close() joins the frontend's readers, so the last round sees every
+  // copy that reached it.
   frontend.close();
+  router.process(frontend);
 
   EXPECT_EQ(unsettled.load(), 0) << "every agent must settle all its reports";
-  for (std::size_t i = 0; i < router.shard_count(); ++i) {
-    EXPECT_EQ(router.shard(i).duplicates(), 0u) << "shard " << i;
-  }
   EXPECT_EQ(settled(), reports.size());
+  // The frontend keeps no dedup state: a frame an agent resent reaches
+  // its shard again and is settled there as a duplicate, never processed.
+  std::uint64_t duplicates = 0;
+  for (std::size_t i = 0; i < router.shard_count(); ++i) {
+    duplicates += router.shard(i).totals().duplicate;
+  }
+  EXPECT_EQ(duplicates, frontend.stats().delivered_frames - reports.size());
+  router.close();
+}
+
+/// A MessageBus ingress that also records the bytes of every upstream ack.
+class RecordingIngress final : public service::Transport {
+ public:
+  void send(std::string wire_bytes) override { bus.send(std::move(wire_bytes)); }
+  std::vector<std::string> drain() override { return bus.drain(); }
+  void ack(std::string_view wire_bytes) override {
+    acked.emplace_back(wire_bytes);
+    bus.ack(wire_bytes);
+  }
+  void close() override {}
+  service::TransportStats stats() const override { return bus.stats(); }
+
+  MessageBus bus;
+  std::vector<std::string> acked;
+};
+
+TEST_F(ShardRouterTest, RoundAcksEachSettledFrameOnceAndNeverAMalformedOne) {
+  // One round over valid frames, a damaged copy of one of them routed
+  // ahead of its intact copy, and a redelivered frame. Upstream acks are
+  // exactly the settled frames' bytes: every valid frame and the
+  // redelivery once each, the damaged copy never.
+  const auto reports = make_reports(3, 2);
+  std::vector<std::string> wires;
+  for (const auto& report : reports) wires.push_back(report.to_wire());
+  std::string damaged = wires[1];
+  damaged[damaged.size() - 2] = static_cast<char>(damaged[damaged.size() - 2] ^ 0x40);
+
+  RecordingIngress ingress;
+  ingress.send(damaged);
+  for (const auto& wire : wires) ingress.send(wire);
+  ingress.send(wires[0]);  // redelivered after a lost ack
+
+  obs::Histogram& settle = obs::MetricsRegistry::global().histogram(
+      "praxi_cluster_settle_seconds", "", obs::latency_buckets());
+  ShardRouter router(*model_, cluster_config(2));
+  const std::uint64_t settles_before = settle.count();
+  router.process(ingress);
+
+  std::vector<std::string> expected = wires;
+  expected.push_back(wires[0]);
+  std::sort(expected.begin(), expected.end());
+  std::vector<std::string> acked = ingress.acked;
+  std::sort(acked.begin(), acked.end());
+  EXPECT_EQ(acked, expected);
+  EXPECT_EQ(std::count(acked.begin(), acked.end(), damaged), 0);
+  for (const auto& report : reports) {
+    EXPECT_TRUE(ingress.bus.acknowledged(report.agent_id, report.sequence))
+        << report.agent_id << "/" << report.sequence;
+  }
+  EXPECT_EQ(ingress.bus.stats().acked_frames, expected.size());
+
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.acked_frames, expected.size());
+  EXPECT_EQ(stats.rejected_frames, 1u) << "the damaged copy, left unacked";
+  EXPECT_EQ(stats.malformed_frames, 1u);
+  EXPECT_EQ(stats.duplicates, 1u);
+  EXPECT_EQ(stats.pending_frames, 0u);
+  EXPECT_EQ(settle.count() - settles_before, expected.size());
   router.close();
 }
 

@@ -179,7 +179,29 @@ TEST_F(ServiceTest, EndToEndFleetDiscovery) {
   ASSERT_EQ(server.inventory().count("vm-2"), 1u);
   EXPECT_TRUE(server.inventory().at("vm-2").count(app1));
   EXPECT_EQ(server.processed(), 3u);
-  EXPECT_GT(server.store().size(), 0u);
+}
+
+TEST_F(ServiceTest, StoreKeepsOnlyLabeledFeedback) {
+  // The store holds Praxi's training artifact — labeled tagsets — and
+  // nothing per classified report.
+  pkg::DatasetBuilder builder(*catalog_, 11);
+  pkg::CollectOptions options;
+  options.samples_per_app = 1;
+  const auto dataset = builder.collect_dirty(options);
+  MessageBus bus;
+  DiscoveryServer server(*model_, {});
+  for (std::size_t i = 0; i < dataset.changesets.size(); ++i) {
+    ChangesetReport report;
+    report.agent_id = "vm-" + std::to_string(i);
+    report.changeset = dataset.changesets[i];
+    bus.send(report.to_wire());
+  }
+  EXPECT_FALSE(server.process(bus).empty());
+  EXPECT_EQ(server.processed(), dataset.changesets.size());
+  EXPECT_EQ(server.store().size(), 0u);
+
+  server.learn_feedback(dataset.changesets[0]);
+  EXPECT_EQ(server.store().size(), 1u);
 }
 
 TEST_F(ServiceTest, MalformedMessagesSkippedNotFatal) {

@@ -2,7 +2,7 @@
 // the frame codec and its streaming decoder, the exactly-once
 // SequenceTracker, report identity peeking, MessageBus ack bookkeeping,
 // and — the heart of it — a deterministic fault matrix proving that retry
-// plus server-side dedup turns a misbehaving wire (drops, duplicates,
+// plus the server's per-agent dedup turns a misbehaving wire (drops, duplicates,
 // reordering, truncation, corruption) into exactly-once processing: zero
 // acknowledged reports lost, zero double-counted, discoveries identical
 // to a clean run.
@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -159,34 +160,37 @@ TEST(FrameCodec, RefusesPayloadOverflowingLengthField) {
 // ------------------------------------------------------- sequence tracker --
 
 TEST(SequenceTrackerTest, AcceptsEachSequenceExactlyOnce) {
+  using Admit = SequenceTracker::Admit;
   SequenceTracker tracker;
   for (std::uint64_t seq = 0; seq < 100; ++seq) {
-    EXPECT_TRUE(tracker.accept(seq));
-    EXPECT_FALSE(tracker.accept(seq)) << "redelivery of " << seq;
+    EXPECT_EQ(tracker.admit(seq), Admit::kAccept);
+    EXPECT_NE(tracker.admit(seq), Admit::kAccept) << "redelivery of " << seq;
   }
   EXPECT_EQ(tracker.floor(), 100u);
   EXPECT_EQ(tracker.held(), 0u);
 }
 
 TEST(SequenceTrackerTest, OutOfOrderCompactsToFloor) {
+  using Admit = SequenceTracker::Admit;
   SequenceTracker tracker;
-  EXPECT_TRUE(tracker.accept(2));
-  EXPECT_TRUE(tracker.accept(0));
+  EXPECT_EQ(tracker.admit(2), Admit::kAccept);
+  EXPECT_EQ(tracker.admit(0), Admit::kAccept);
   EXPECT_EQ(tracker.held(), 1u);  // 2 held, [0,1) compacted
-  EXPECT_TRUE(tracker.accept(1));
+  EXPECT_EQ(tracker.admit(1), Admit::kAccept);
   EXPECT_EQ(tracker.floor(), 3u);
   EXPECT_EQ(tracker.held(), 0u);
-  EXPECT_FALSE(tracker.accept(0));
-  EXPECT_FALSE(tracker.accept(2));
+  EXPECT_NE(tracker.admit(0), Admit::kAccept);
+  EXPECT_NE(tracker.admit(2), Admit::kAccept);
 }
 
 TEST(SequenceTrackerTest, RejectsBelowFloorForever) {
+  using Admit = SequenceTracker::Admit;
   SequenceTracker tracker;
-  for (std::uint64_t seq = 0; seq < 10; ++seq) tracker.accept(seq);
+  for (std::uint64_t seq = 0; seq < 10; ++seq) tracker.admit(seq);
   for (std::uint64_t seq = 0; seq < 10; ++seq) {
-    EXPECT_FALSE(tracker.accept(seq));
+    EXPECT_NE(tracker.admit(seq), Admit::kAccept);
   }
-  EXPECT_TRUE(tracker.accept(10));
+  EXPECT_EQ(tracker.admit(10), Admit::kAccept);
 }
 
 TEST(SequenceTrackerTest, HeldSetCapRejectsWithoutPoisoning) {
@@ -698,8 +702,9 @@ TEST_F(FaultMatrixTest, DuplicatesAreCountedNotReprocessed) {
 
 TEST_F(FaultMatrixTest, InterleavedV1AndV2FramesMatchAV1OnlyRun) {
   // A fleet mid-upgrade: old agents still send v1 frames, new ones v2. The
-  // server must not care — discoveries, inventory and the retained tagsets
-  // equal a run where every agent sent v1.
+  // server must not care — discoveries and inventory equal a run where
+  // every agent sent v1, and both encodings of a report yield the same
+  // tags.
   const auto reports = make_reports(3, 8);
   auto run = [&](bool interleave) {
     service::ServerConfig config;
@@ -716,11 +721,10 @@ TEST_F(FaultMatrixTest, InterleavedV1AndV2FramesMatchAV1OnlyRun) {
     for (const auto& report : reports) {
       EXPECT_TRUE(bus.acknowledged(report.agent_id, report.sequence));
     }
-    return std::make_tuple(std::move(discoveries), server.inventory(),
-                           server.store().tagsets());
+    return std::make_tuple(std::move(discoveries), server.inventory());
   };
-  const auto [v1_discoveries, v1_inventory, v1_tagsets] = run(false);
-  const auto [mixed_discoveries, mixed_inventory, mixed_tagsets] = run(true);
+  const auto [v1_discoveries, v1_inventory] = run(false);
+  const auto [mixed_discoveries, mixed_inventory] = run(true);
   ASSERT_FALSE(v1_discoveries.empty());
   ASSERT_EQ(mixed_discoveries.size(), v1_discoveries.size());
   for (std::size_t i = 0; i < v1_discoveries.size(); ++i) {
@@ -734,7 +738,19 @@ TEST_F(FaultMatrixTest, InterleavedV1AndV2FramesMatchAV1OnlyRun) {
                        b.applications, b.model_epoch));
   }
   EXPECT_EQ(mixed_inventory, v1_inventory);
-  EXPECT_EQ(mixed_tagsets, v1_tagsets);
+
+  const auto snap = model_->snapshot();
+  for (const auto& report : reports) {
+    const std::string v1 = report.to_wire_v1();
+    const std::string v2 = report.to_wire();
+    const auto v1_view = ChangesetReport::view_wire(v1);
+    const auto v2_view = ChangesetReport::view_wire(v2);
+    const fs::ChangesetView* views[] = {&v1_view.changeset,
+                                        &v2_view.changeset};
+    const auto tags =
+        snap->extract_tags(std::span<const fs::ChangesetView* const>(views));
+    EXPECT_EQ(tags[0], tags[1]) << report.agent_id << "/" << report.sequence;
+  }
 }
 
 TEST_F(FaultMatrixTest, VersionThreeFrameCountsAsVersionMismatchAndSettles) {

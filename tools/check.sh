@@ -23,7 +23,8 @@
 #   tools/check.sh --tsan      ThreadSanitizer pass over the concurrency
 #                              tests: metrics registry, socket transport,
 #                              WAL + restart/ingest, serve-while-learn
-#                              snapshots, sharded cluster (needs clang)
+#                              snapshots, sharded cluster (clang, or gcc
+#                              minus the snapshot-cell suite)
 #
 # Lane flags can be combined (e.g. `--lint --tsa`). Every run ends with a
 # summary table: which lanes ran, which were skipped, which failed.
@@ -153,24 +154,27 @@ run_tsan() {
   #                  trainer publishes epochs (zero locks on that path)
   #   cluster_test   per-shard workers against the router's round barrier,
   #                  fed by socket agents through one frontend
-  # GCC's TSan runtime is flaky with std::atomic<double> CAS loops on some
-  # distros (and flags libstdc++'s atomic<shared_ptr>), so this lane insists
-  # on clang and skips otherwise.
-  if ! command -v clang++ >/dev/null; then
-    skip "clang++ not installed (tsan lane; gcc tier-1 still runs every \
-one of these tests)"
+  # clang runs every suite. gcc (libstdc++) runs them all but the
+  # SnapshotConcurrency suite: libstdc++ implements the model's
+  # std::atomic<std::shared_ptr> snapshot cell with an internal lock bit
+  # TSan cannot see, so gcc TSan reports its load/exchange pair as a race
+  # (ROADMAP item 5 replaces that cell).
+  local compiler=() snapshot_filter='*'
+  if command -v clang++ >/dev/null; then
+    compiler=(-DCMAKE_CXX_COMPILER=clang++ -DCMAKE_C_COMPILER=clang)
+  else
+    snapshot_filter='-SnapshotConcurrency.*'
   fi
   note "ThreadSanitizer: obs, net, wal, transport FaultMatrix, snapshot, \
-cluster ShardRouter"
-  cmake -B build-tsan -S . -DPRAXI_SANITIZE=thread \
-    -DCMAKE_CXX_COMPILER=clang++ -DCMAKE_C_COMPILER=clang >/dev/null
+cluster ShardRouter (snapshot filter: $snapshot_filter)"
+  cmake -B build-tsan -S . -DPRAXI_SANITIZE=thread "${compiler[@]}" >/dev/null
   cmake --build build-tsan -j "$JOBS" --target obs_test net_test wal_test \
     transport_test snapshot_test cluster_test
   ./build-tsan/tests/obs_test
   ./build-tsan/tests/net_test
   ./build-tsan/tests/wal_test
   ./build-tsan/tests/transport_test --gtest_filter='FaultMatrixTest.*'
-  ./build-tsan/tests/snapshot_test
+  ./build-tsan/tests/snapshot_test --gtest_filter="$snapshot_filter"
   ./build-tsan/tests/cluster_test --gtest_filter='ShardRouterTest.*'
 }
 
