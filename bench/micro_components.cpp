@@ -190,6 +190,76 @@ void BM_ColumbusExtractLegacy(benchmark::State& state) {
 }
 BENCHMARK(BM_ColumbusExtractLegacy);
 
+/// The install_wave traffic shape (perfbench): 8 dirty singles of every
+/// standard application plus 332 windows of 2-5 applications.
+const pkg::Dataset& install_wave() {
+  static const pkg::Dataset dataset = [] {
+    const auto catalog = pkg::Catalog::standard(42);
+    pkg::DatasetBuilder builder(catalog, 7);
+    pkg::CollectOptions options;
+    options.samples_per_app = 8;
+    pkg::Dataset singles = builder.collect_dirty(options);
+    singles.refresh_labels();
+    pkg::Dataset multi =
+        pkg::DatasetBuilder::synthesize_multi(singles, 332, 2, 5, 11);
+    for (auto& cs : multi.changesets) {
+      singles.changesets.push_back(std::move(cs));
+    }
+    return singles;
+  }();
+  return dataset;
+}
+
+// Extraction cycling through every install_wave report, not one changeset:
+// the directory mix and tag counts of real traffic.
+void BM_ColumbusExtractInstallWave(benchmark::State& state) {
+  const auto& changesets = install_wave().changesets;
+  columbus::Columbus columbus;
+  std::size_t i = 0;
+  std::int64_t records = 0;
+  for (auto _ : state) {
+    const auto& cs = changesets[i++ % changesets.size()];
+    benchmark::DoNotOptimize(columbus.extract(cs));
+    records += static_cast<std::int64_t>(cs.records().size());
+  }
+  state.SetItemsProcessed(records);
+}
+BENCHMARK(BM_ColumbusExtractInstallWave)->Unit(benchmark::kMicrosecond);
+
+// The server's fused extract -> predict task over decoded wire views, one
+// install_wave report per iteration, multi-label top-n as the quantity
+// screen would ask for.
+void BM_SnapshotClassify(benchmark::State& state) {
+  const auto& changesets = install_wave().changesets;
+  core::PraxiConfig config;
+  config.mode = core::LabelMode::kMultiLabel;
+  core::Praxi model(config);
+  std::vector<const fs::Changeset*> train;
+  for (const auto& cs : changesets) train.push_back(&cs);
+  model.train_changesets(train);
+  std::vector<std::string> wires;
+  std::vector<std::size_t> counts;
+  for (const auto& cs : changesets) {
+    service::ChangesetReport report;
+    report.agent_id = "agent-000042";
+    report.changeset = cs;
+    wires.push_back(report.to_wire());
+    counts.push_back(cs.labels().size());
+  }
+  std::vector<service::ReportView> views;
+  for (const auto& wire : wires) {
+    views.push_back(service::ChangesetReport::view_wire(wire));
+  }
+  const auto snap = model.snapshot();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::size_t k = i++ % views.size();
+    const fs::ChangesetView* item[] = {&views[k].changeset};
+    benchmark::DoNotOptimize(snap->classify(item, counts[k]));
+  }
+}
+BENCHMARK(BM_SnapshotClassify)->Unit(benchmark::kMicrosecond);
+
 void BM_PraxiLearnOne(benchmark::State& state) {
   core::Praxi model;
   const auto tags = model.extract_tags(corpus().changesets.front());

@@ -24,8 +24,8 @@ void ingest(std::string_view bytes) {
     const auto view = praxi::service::ChangesetReport::view_wire(bytes);
     (void)praxi::core::DiscoveryService::infer_quantity(view.changeset, {});
     static const praxi::columbus::Columbus columbus;
-    (void)columbus.extract(view.changeset,
-                           praxi::columbus::tls_extraction_scratch());
+    (void)columbus.extract_ranked(view.changeset,
+                                  praxi::columbus::tls_extraction_scratch());
     praxi::service::ChangesetReport::from_wire(bytes);
   } catch (const praxi::SerializeError&) {
     // Expected for arbitrary bytes; anything else escapes and is a finding.

@@ -219,6 +219,25 @@ int main(int argc, char** argv) {
     return lines;
   }());
 
+  // Directory-split shapes (pass 1 caches each directory's tokens): no
+  // slash, root, doubled and trailing slashes, upper-case and system-only
+  // directories, one basename under many directories, upper-case
+  // executables. A line's length parity is its executable flag.
+  emit("columbus_arena", "dirs", [] {
+    std::string lines =
+        "mysqld\nmysqld\nMySQLd\n/\n//\n//a//b\n//nginx//conf//\n"
+        "//nginx//conf//\n/opt/nginx/\nnginx//\n"
+        "/ETC/MySQL/Conf.d/a.cnf\n/etc/mysql/conf.d/b.cnf\n"
+        "/Etc/MySQL/Data/mysqld\n/usr/lib/share/doc/redis-server\n"
+        "/usr/lib/share/doc/redis-cli\n/usr/bin/MySQLd\n/usr/sbin/MYSQLD\n"
+        "/opt/MySQLAdmin\n/opt/mysql/MySQLAdmin\n";
+    for (int i = 0; i < 16; ++i) {
+      lines += "/opt/app-" + std::to_string(i % 5) + "/lib" +
+               std::to_string(i % 3) + "/common-basename\n";
+    }
+    return lines;
+  }());
+
   std::cout << "seed corpora written under " << g_root.string() << "\n";
   return 0;
 }

@@ -89,8 +89,12 @@ void ArenaTrie::extract_tags(std::size_t min_length,
       }
     }
 
+    // Prune: a node's frequency is never below a descendant's, so a child
+    // rarer than min_frequency roots a subtree that holds no tag. (The
+    // drop-rule scan above still read it.)
     for (std::uint32_t c = node.first_child; c != kNil;
          c = nodes_[c].next_sibling) {
+      if (nodes_[c].frequency < min_frequency) continue;
       walk.stack.push_back(c);
       walk.depths.push_back(depth + 1);
     }

@@ -76,7 +76,8 @@ class ArenaTrie {
   /// FrequencyTrie::extract_tags), writing them to `out` ranked by
   /// descending frequency (ties: lexicographic) and truncated to top_k
   /// (0 = unlimited). Tag texts are copied into `text_arena`; `walk` holds
-  /// the reused traversal buffers. `out` is cleared first.
+  /// the reused traversal buffers. `out` is cleared first. Subtrees whose
+  /// root is rarer than min_frequency cannot hold a tag and are not walked.
   void extract_tags(std::size_t min_length, std::uint32_t min_frequency,
                     std::size_t top_k, CharArena& text_arena,
                     TagWalkScratch& walk, std::vector<TagView>& out) const;

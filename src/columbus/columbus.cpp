@@ -74,33 +74,49 @@ TagSet materialize(std::span<const TagView> ranked) {
   return ts;
 }
 
-/// The one changeset -> tagset path, for both an owning Changeset
+/// The one changeset -> ranked tags path, for both an owning Changeset
 /// (ChangeRecord) and a decoded wire view (ChangeRecordView).
-template <typename Records, typename Labels>
-TagSet extract_records(const Columbus& columbus, const Records& records,
-                       const Labels& labels, ExtractionScratch& scratch) {
+template <typename Records>
+std::span<const TagView> rank_records(const Columbus& columbus,
+                                      const Records& records,
+                                      ExtractionScratch& scratch) {
   scratch.begin();
   for (const auto& rec : records) {
     scratch.paths.push_back(PathRef{rec.path, rec.executable()});
   }
-  TagSet ts = materialize(columbus.extract_ranked(scratch));
-  ts.labels.assign(labels.begin(), labels.end());
-  return ts;
+  return columbus.extract_ranked(scratch);
 }
 
-/// Batch form: items are independent (§III-B), so they run concurrently on
-/// `pool`. Each worker reuses its own thread-local scratch: pool threads
-/// are long-lived, so after one warmup item per worker the batch's
-/// pipeline work allocates nothing beyond the output tagsets.
-template <typename Item>
-std::vector<TagSet> extract_batch(const Columbus& columbus,
-                                  std::span<const Item* const> items,
-                                  ThreadPool* pool) {
-  std::vector<TagSet> out(items.size());
-  parallel_for(pool, items.size(), [&](std::size_t i) {
-    out[i] = columbus.extract(*items[i], tls_extraction_scratch());
-  });
-  return out;
+/// Interns one token and sizes both count arrays to cover its id.
+std::uint32_t intern_segment(std::string_view token,
+                             ExtractionScratch& scratch) {
+  const std::uint32_t id = scratch.interner.intern(token);
+  if (id >= scratch.name_counts.size()) {
+    scratch.name_counts.resize(id + 1, 0);
+    scratch.exec_counts.resize(id + 1, 0);
+  }
+  return id;
+}
+
+/// Adds one FT_name count per token of directory `dir`, tokenizing and
+/// interning it only the first time this extraction sees it.
+void count_directory(const Tokenizer& tokenizer, std::string_view dir,
+                     ExtractionScratch& scratch) {
+  const std::uint32_t known = scratch.dirs.size();
+  const std::uint32_t id = scratch.dirs.intern(dir);
+  if (id == known) {  // first path under this directory
+    scratch.tokens.clear();
+    tokenizer.tokenize_views(dir, scratch.arena, scratch.tokens);
+    for (const std::string_view token : scratch.tokens) {
+      scratch.dir_ids.push_back(intern_segment(token, scratch));
+    }
+    scratch.dir_ends.push_back(
+        static_cast<std::uint32_t>(scratch.dir_ids.size()));
+  }
+  const std::uint32_t begin = id == 0 ? 0 : scratch.dir_ends[id - 1];
+  for (std::uint32_t i = begin; i < scratch.dir_ends[id]; ++i) {
+    ++scratch.name_counts[scratch.dir_ids[i]];
+  }
 }
 
 }  // namespace
@@ -113,24 +129,22 @@ TagSet Columbus::extract(const fs::Changeset& changeset) const {
 
 TagSet Columbus::extract(const fs::Changeset& changeset,
                          ExtractionScratch& scratch) const {
-  return extract_records(*this, changeset.records(), changeset.labels(),
-                         scratch);
-}
-
-TagSet Columbus::extract(const fs::ChangesetView& changeset,
-                         ExtractionScratch& scratch) const {
-  return extract_records(*this, changeset.records, changeset.labels, scratch);
+  TagSet ts = materialize(rank_records(*this, changeset.records(), scratch));
+  ts.labels = changeset.labels();
+  return ts;
 }
 
 std::vector<TagSet> Columbus::extract(
     std::span<const fs::Changeset* const> changesets, ThreadPool* pool) const {
-  return extract_batch(*this, changesets, pool);
-}
-
-std::vector<TagSet> Columbus::extract(
-    std::span<const fs::ChangesetView* const> changesets,
-    ThreadPool* pool) const {
-  return extract_batch(*this, changesets, pool);
+  // Items are independent (§III-B), so they run concurrently on `pool`.
+  // Each worker reuses its own thread-local scratch: pool threads are
+  // long-lived, so after one warmup item per worker the batch's pipeline
+  // work allocates nothing beyond the output tagsets.
+  std::vector<TagSet> out(changesets.size());
+  parallel_for(pool, changesets.size(), [&](std::size_t i) {
+    out[i] = extract(*changesets[i], tls_extraction_scratch());
+  });
+  return out;
 }
 
 TagSet Columbus::extract_from_paths(const std::vector<std::string>& paths,
@@ -150,38 +164,35 @@ TagSet Columbus::extract_from_paths(const std::vector<std::string>& paths,
 }
 
 std::span<const TagView> Columbus::extract_ranked(
+    const fs::ChangesetView& changeset, ExtractionScratch& scratch) const {
+  return rank_records(*this, changeset.records, scratch);
+}
+
+std::span<const TagView> Columbus::extract_ranked(
     ExtractionScratch& scratch) const {
   extractions_counter().inc();
   const std::size_t footprint_before = scratch.capacity_bytes();
 
   obs::ScopedTimer trie_timer(trie_build_seconds());
-  // Pass 1: tokenize every path into views, intern each segment to a dense
-  // id, and accumulate per-id occurrence counts. A segment repeated across
-  // the changeset is hashed once and counted with array arithmetic.
+  // Pass 1: count every surviving segment of every path by interned id.
+  // The tokenizer splits on '/' and drops empty segments, so a path's
+  // tokens are its directory's tokens followed by the token of the part
+  // after its last '/'. Each distinct directory is tokenized and interned
+  // once; every path under it adds one count per cached id and tokenizes
+  // only its last part — which is also the basename FT_exec indexes.
   for (const PathRef& ref : scratch.paths) {
-    scratch.tokens.clear();
-    tokenizer_.tokenize_views(ref.path, scratch.arena, scratch.tokens);
-    for (const std::string_view token : scratch.tokens) {
-      const std::uint32_t id = scratch.interner.intern(token);
-      if (id >= scratch.name_counts.size()) {
-        scratch.name_counts.resize(id + 1, 0);
-        scratch.exec_counts.resize(id + 1, 0);
-      }
-      ++scratch.name_counts[id];
+    std::string_view last = ref.path;
+    const std::size_t slash = ref.path.rfind('/');
+    if (slash != std::string_view::npos) {
+      count_directory(tokenizer_, ref.path.substr(0, slash), scratch);
+      last.remove_prefix(slash + 1);
     }
-    if (ref.executable) {
-      scratch.tokens.clear();
-      tokenizer_.tokenize_views(basename(ref.path), scratch.arena,
-                                scratch.tokens);
-      for (const std::string_view token : scratch.tokens) {
-        const std::uint32_t id = scratch.interner.intern(token);
-        if (id >= scratch.name_counts.size()) {
-          scratch.name_counts.resize(id + 1, 0);
-          scratch.exec_counts.resize(id + 1, 0);
-        }
-        ++scratch.exec_counts[id];
-      }
-    }
+    const std::string_view token =
+        tokenizer_.segment_token(last, scratch.arena);
+    if (token.empty()) continue;
+    const std::uint32_t id = intern_segment(token, scratch);
+    ++scratch.name_counts[id];
+    if (ref.executable) ++scratch.exec_counts[id];
   }
 
   // Pass 2: build the tries from the distinct segments, one weighted

@@ -65,16 +65,6 @@ class Columbus {
   std::vector<TagSet> extract(std::span<const fs::Changeset* const> changesets,
                               ThreadPool* pool = nullptr) const;
 
-  /// The same three entry points over decoded wire views (the server's
-  /// ingest path): paths go from the view straight into the scratch, no
-  /// Changeset is built, and the tags are identical to extracting the
-  /// materialized changeset.
-  TagSet extract(const fs::ChangesetView& changeset,
-                 ExtractionScratch& scratch) const;
-  std::vector<TagSet> extract(
-      std::span<const fs::ChangesetView* const> changesets,
-      ThreadPool* pool = nullptr) const;
-
   /// Core primitive: tags from an explicit path list. `executable[i]` marks
   /// paths feeding FT_exec (pass an empty vector when unknown).
   TagSet extract_from_paths(const std::vector<std::string>& paths,
@@ -94,6 +84,13 @@ class Columbus {
   /// overloads above are the usual entry points; this low-level surface is
   /// what tests/columbus_alloc_test.cpp asserts zero allocations on.
   std::span<const TagView> extract_ranked(ExtractionScratch& scratch) const;
+
+  /// extract_ranked() over a decoded wire view's paths (begin() included;
+  /// the server's ingest path): paths go from the view straight into the
+  /// scratch, no Changeset or owned tag string is built, and the tags are
+  /// identical to extracting the materialized changeset.
+  std::span<const TagView> extract_ranked(const fs::ChangesetView& changeset,
+                                          ExtractionScratch& scratch) const;
 
   /// Legacy reference implementation: allocating tokenizer + pointer-chasing
   /// FrequencyTrie, exactly the pre-arena pipeline. Retained as the

@@ -4,6 +4,9 @@ namespace praxi::columbus {
 
 std::size_t ExtractionScratch::capacity_bytes() const {
   return arena.capacity_bytes() + interner.capacity_bytes() +
+         dirs.capacity_bytes() +
+         dir_ids.capacity() * sizeof(std::uint32_t) +
+         dir_ends.capacity() * sizeof(std::uint32_t) +
          paths.capacity() * sizeof(PathRef) +
          tokens.capacity() * sizeof(std::string_view) +
          name_counts.capacity() * sizeof(std::uint32_t) +

@@ -1,10 +1,10 @@
 // Per-thread reusable extraction state for the Columbus hot path
 // (docs/ALGORITHMS.md). One ExtractionScratch bundles every buffer one
 // extraction needs — the case-fold/tag-text arena, the segment interner,
-// per-segment frequency counts, both arena tries, and the ranked-tag
-// buffers — so a warm scratch runs the whole tokenize → intern → trie →
-// rank pipeline with zero allocations (asserted by
-// tests/columbus_alloc_test.cpp).
+// per-segment frequency counts, the per-directory segment-id cache, both
+// arena tries, and the ranked-tag buffers — so a warm scratch runs the
+// whole tokenize → intern → trie → rank pipeline with zero allocations
+// (asserted by tests/columbus_alloc_test.cpp).
 //
 // This is a scratch bundle, not an abstraction: members are public and the
 // pipeline in columbus.cpp writes them directly. Results read out of a
@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -34,6 +35,9 @@ class ExtractionScratch {
   void begin() {
     arena.clear();
     interner.clear();
+    dirs.clear();
+    dir_ids.clear();
+    dir_ends.clear();
     paths.clear();
     tokens.clear();
     name_counts.clear();
@@ -52,6 +56,12 @@ class ExtractionScratch {
 
   CharArena arena;            ///< case-folded segments + tag texts
   SegmentInterner interner;   ///< segment view -> dense id
+  /// Directory part of a path (everything before its last '/') -> dense
+  /// directory id. Directory d's segment ids are
+  /// dir_ids[d == 0 ? 0 : dir_ends[d - 1], dir_ends[d]).
+  SegmentInterner dirs;
+  std::vector<std::uint32_t> dir_ids;   ///< segment ids, directory by directory
+  std::vector<std::uint32_t> dir_ends;  ///< directory id -> end in dir_ids
   std::vector<PathRef> paths;                 ///< extraction input
   std::vector<std::string_view> tokens;       ///< per-path token views
   std::vector<std::uint32_t> name_counts;     ///< id -> FT_name occurrences

@@ -50,17 +50,38 @@ bool needs_fold(std::string_view segment) {
 Tokenizer::Tokenizer() : Tokenizer(default_system_tokens()) {}
 
 Tokenizer::Tokenizer(std::vector<std::string> system_tokens)
-    : system_tokens_(std::move(system_tokens)) {
-  std::sort(system_tokens_.begin(), system_tokens_.end());
+    : system_tokens_(std::move(system_tokens)), bucket_begin_(kBuckets + 1) {
+  std::sort(system_tokens_.begin(), system_tokens_.end(),
+            [](const std::string& a, const std::string& b) {
+              const std::size_t ba = bucket_of(a);
+              const std::size_t bb = bucket_of(b);
+              return ba != bb ? ba < bb : a < b;
+            });
+  // Counting pass, then prefix sums: bucket b ends where b + 1 begins.
+  for (const std::string& token : system_tokens_) {
+    ++bucket_begin_[bucket_of(token) + 1];
+  }
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    bucket_begin_[b + 1] += bucket_begin_[b];
+  }
+}
+
+std::size_t Tokenizer::bucket_of(std::string_view token) {
+  // Low four bits of the length and of the first byte. The 63 default
+  // tokens fill 39 buckets, most with one or two entries; the largest is
+  // man1..man8.
+  const std::size_t first =
+      token.empty() ? 0 : static_cast<unsigned char>(token.front());
+  return ((token.size() & 0xF) << 4) | (first & 0xF);
 }
 
 bool Tokenizer::is_system_token(std::string_view token) const {
-  const auto it = std::lower_bound(
-      system_tokens_.begin(), system_tokens_.end(), token,
-      [](const std::string& entry, std::string_view probe) {
-        return std::string_view(entry) < probe;
-      });
-  return it != system_tokens_.end() && std::string_view(*it) == token;
+  const std::size_t bucket = bucket_of(token);
+  for (std::uint32_t i = bucket_begin_[bucket]; i < bucket_begin_[bucket + 1];
+       ++i) {
+    if (std::string_view(system_tokens_[i]) == token) return true;
+  }
+  return false;
 }
 
 // praxi-lint: allow(columbus-hot-alloc: legacy owned-token surface)
@@ -87,15 +108,20 @@ void Tokenizer::tokenize_views(std::string_view path, CharArena& arena,
     std::size_t end = path.find('/', start);
     if (end == std::string_view::npos) end = path.size();
     if (end > start) {
-      const std::string_view segment = path.substr(start, end - start);
-      if (segment.size() >= 2 && !all_digits_or_punct(segment)) {
-        const std::string_view lowered =
-            needs_fold(segment) ? arena.store_lower(segment) : segment;
-        if (!is_system_token(lowered)) out.push_back(lowered);
-      }
+      const std::string_view token =
+          segment_token(path.substr(start, end - start), arena);
+      if (!token.empty()) out.push_back(token);
     }
     start = end + 1;
   }
+}
+
+std::string_view Tokenizer::segment_token(std::string_view segment,
+                                          CharArena& arena) const {
+  if (segment.size() < 2 || all_digits_or_punct(segment)) return {};
+  const std::string_view lowered =
+      needs_fold(segment) ? arena.store_lower(segment) : segment;
+  return is_system_token(lowered) ? std::string_view{} : lowered;
 }
 
 }  // namespace praxi::columbus

@@ -13,6 +13,8 @@
 //                        needed case folding), no per-segment allocation.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,13 +46,30 @@ class Tokenizer {
   void tokenize_views(std::string_view path, CharArena& arena,
                       std::vector<std::string_view>& out) const;
 
-  /// Membership test against the sorted filter list. Heterogeneous
-  /// std::lower_bound compare: the probe stays a string_view end to end,
-  /// no owned-string construction per lookup.
+  /// The token one slash-free segment contributes: its lower-cased view
+  /// (folded into `arena` only when needed), or an empty view when the
+  /// filter rules drop it. tokenize_views() is this applied per segment.
+  std::string_view segment_token(std::string_view segment,
+                                 CharArena& arena) const;
+
+  /// Membership test against the filter list: one bucket keyed by the
+  /// probe's length and first byte, then an exact compare against the few
+  /// entries that share it. No owned-string construction per lookup.
   bool is_system_token(std::string_view token) const;
 
+  /// The filter list, grouped by bucket.
+  const std::vector<std::string>& system_tokens() const {
+    return system_tokens_;
+  }
+
  private:
-  std::vector<std::string> system_tokens_;  // sorted for binary search
+  static constexpr std::size_t kBuckets = 256;
+  static std::size_t bucket_of(std::string_view token);
+
+  std::vector<std::string> system_tokens_;  // ordered by (bucket, text)
+  /// Entries of bucket b are system_tokens_[bucket_begin_[b],
+  /// bucket_begin_[b + 1]). Indices, not views, so copies stay valid.
+  std::vector<std::uint32_t> bucket_begin_;
 };
 
 }  // namespace praxi::columbus

@@ -21,22 +21,35 @@ obs::Histogram& predict_seconds() {
   return h;
 }
 
-}  // namespace
-
-ml::FeatureVector hash_tagset_features(const ml::FeatureHasher& hasher,
-                                       const columbus::TagSet& tagset) {
-  std::vector<std::pair<std::string, float>> tokens;
-  tokens.reserve(tagset.tags.size());
-  for (const auto& tag : tagset.tags) {
+/// The tags -> features kernel behind both hash_tagset_features overloads:
+/// reads only each tag's text view and frequency.
+template <typename Tags>
+ml::FeatureVector hash_tags(const ml::FeatureHasher& hasher, const Tags& tags) {
+  ml::FeatureVector features;
+  features.reserve(tags.size());
+  for (const auto& tag : tags) {
     // log1p damping: a single huge-frequency tag (e.g. a build tree's
     // random-named root directory) must not drown the informative tags
     // after L2 normalization.
-    tokens.emplace_back(tag.text,
-                        std::log1p(static_cast<float>(tag.frequency)));
+    features.push_back(ml::Feature{
+        hasher.index_of(tag.text),
+        std::log1p(static_cast<float>(tag.frequency))});
   }
-  auto features = hasher.hash(tokens);
+  ml::sum_collisions(features);
   ml::l2_normalize(features);
   return features;
+}
+
+}  // namespace
+
+ml::FeatureVector hash_tagset_features(
+    const ml::FeatureHasher& hasher, std::span<const columbus::TagView> tags) {
+  return hash_tags(hasher, tags);
+}
+
+ml::FeatureVector hash_tagset_features(const ml::FeatureHasher& hasher,
+                                       const columbus::TagSet& tagset) {
+  return hash_tags(hasher, tagset.tags);
 }
 
 columbus::TagSet ModelSnapshot::extract_tags(
@@ -51,12 +64,6 @@ std::vector<columbus::TagSet> ModelSnapshot::extract_tags(
   return columbus_.extract(changesets, pool);
 }
 
-std::vector<columbus::TagSet> ModelSnapshot::extract_tags(
-    std::span<const fs::ChangesetView* const> changesets,
-    ThreadPool* pool) const {
-  return columbus_.extract(changesets, pool);
-}
-
 std::vector<std::string> ModelSnapshot::predict(const fs::Changeset& changeset,
                                                 std::size_t n) const {
   return predict_tags(extract_tags(changeset), n);
@@ -66,7 +73,11 @@ std::vector<std::string> ModelSnapshot::predict_tags(
     const columbus::TagSet& tagset, std::size_t n) const {
   if (!trained_) throw std::logic_error("Praxi: predict before train");
   obs::ScopedTimer timer(predict_seconds());
-  const auto features = features_of(tagset);
+  return predict_features(features_of(tagset), n);
+}
+
+std::vector<std::string> ModelSnapshot::predict_features(
+    const ml::FeatureVector& features, std::size_t n) const {
   if (mode_ == LabelMode::kSingleLabel) {
     return {learner_.predict(features)};
   }
@@ -83,6 +94,24 @@ std::vector<std::vector<std::string>> ModelSnapshot::predict(
   // -> scorer); everything it touches is frozen, so items never contend.
   parallel_for(pool, changesets.size(), [&](std::size_t i) {
     out[i] = predict_tags(extract_tags(*changesets[i]), n.at(i));
+  });
+  return out;
+}
+
+std::vector<std::vector<std::string>> ModelSnapshot::classify(
+    std::span<const fs::ChangesetView* const> changesets, TopN n,
+    ThreadPool* pool) const {
+  if (!trained_) throw std::logic_error("Praxi: predict before train");
+  n.check(changesets.size(), "ModelSnapshot::classify");
+  std::vector<std::vector<std::string>> out(changesets.size());
+  // One task per item: the ranked tags stay views into this thread's
+  // scratch from extraction until they are hashed, so no tag string is
+  // ever copied.
+  parallel_for(pool, changesets.size(), [&](std::size_t i) {
+    const std::span<const columbus::TagView> tags = columbus_.extract_ranked(
+        *changesets[i], columbus::tls_extraction_scratch());
+    obs::ScopedTimer timer(predict_seconds());
+    out[i] = predict_features(hash_tagset_features(hasher_, tags), n.at(i));
   });
   return out;
 }

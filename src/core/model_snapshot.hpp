@@ -37,9 +37,13 @@ enum class LabelMode : std::uint8_t {
   kMultiLabel = 1,
 };
 
-/// The one tagset -> feature-vector kernel (log1p tag-frequency damping +
+/// The one tags -> feature-vector kernel (log1p tag-frequency damping +
 /// L2 normalization, paper §III-C), shared by the live engine and every
-/// snapshot so the two paths cannot drift.
+/// snapshot so the two paths cannot drift. The TagView form hashes ranked
+/// tags straight out of an extraction scratch; the TagSet form runs the
+/// same kernel over owned tags.
+ml::FeatureVector hash_tagset_features(const ml::FeatureHasher& hasher,
+                                       std::span<const columbus::TagView> tags);
 ml::FeatureVector hash_tagset_features(const ml::FeatureHasher& hasher,
                                        const columbus::TagSet& tagset);
 
@@ -73,11 +77,6 @@ class ModelSnapshot {
   std::vector<columbus::TagSet> extract_tags(
       std::span<const fs::Changeset* const> changesets,
       ThreadPool* pool = nullptr) const;
-  /// Batch extraction straight from decoded wire views (server ingest);
-  /// tags identical to extracting the materialized changesets.
-  std::vector<columbus::TagSet> extract_tags(
-      std::span<const fs::ChangesetView* const> changesets,
-      ThreadPool* pool = nullptr) const;
   ml::FeatureVector features_of(const columbus::TagSet& tagset) const {
     return hash_tagset_features(hasher_, tagset);
   }
@@ -97,6 +96,14 @@ class ModelSnapshot {
       std::span<const fs::Changeset* const> changesets, TopN n = {},
       ThreadPool* pool = nullptr) const;
 
+  /// Batch classification of decoded wire views (server ingest): one task
+  /// per item extracts the ranked tags on the thread's scratch, hashes
+  /// them and scores, without materializing a TagSet. Labels are identical
+  /// to predict_tags(extract_tags(...)).
+  std::vector<std::vector<std::string>> classify(
+      std::span<const fs::ChangesetView* const> changesets, TopN n = {},
+      ThreadPool* pool = nullptr) const;
+
   /// Batch prediction over pre-extracted tagsets (the §V-C path).
   std::vector<std::vector<std::string>> predict_tags(
       std::span<const columbus::TagSet> tagsets, TopN n = {},
@@ -107,6 +114,9 @@ class ModelSnapshot {
       const columbus::TagSet& tagset) const;
 
  private:
+  std::vector<std::string> predict_features(const ml::FeatureVector& features,
+                                            std::size_t n) const;
+
   std::uint64_t epoch_;
   LabelMode mode_;
   bool trained_;

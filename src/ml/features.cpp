@@ -19,19 +19,22 @@ FeatureVector FeatureHasher::hash(
   for (const auto& [token, weight] : tokens) {
     features.push_back(Feature{index_of(token), weight});
   }
+  sum_collisions(features);
+  return features;
+}
+
+void sum_collisions(FeatureVector& features) {
   std::sort(features.begin(), features.end(),
             [](const Feature& a, const Feature& b) { return a.index < b.index; });
-  // Sum collided indices.
-  FeatureVector out;
-  out.reserve(features.size());
+  std::size_t kept = 0;
   for (const Feature& f : features) {
-    if (!out.empty() && out.back().index == f.index) {
-      out.back().value += f.value;
+    if (kept > 0 && features[kept - 1].index == f.index) {
+      features[kept - 1].value += f.value;
     } else {
-      out.push_back(f);
+      features[kept++] = f;
     }
   }
-  return out;
+  features.resize(kept);
 }
 
 void l2_normalize(FeatureVector& features) {

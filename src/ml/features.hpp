@@ -48,6 +48,11 @@ class FeatureHasher {
   std::uint32_t seed_;
 };
 
+/// Sorts `features` by index and sums entries whose indices collided, in
+/// place: the step that turns hashed (index, weight) pairs into a
+/// FeatureVector.
+void sum_collisions(FeatureVector& features);
+
 /// L2-normalizes `features` in place (no-op on the zero vector).
 void l2_normalize(FeatureVector& features);
 

@@ -276,9 +276,9 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
     pending.push_back(std::move(item));
   }
 
-  // Phase 2 (concurrent): one tag extraction per report, then prediction
-  // from those tags — the wire bytes are not needed after this point
-  // (Praxi never needs to regenerate features, §V-C).
+  // Phase 2 (concurrent): one extract -> predict task per report — the
+  // wire bytes are not needed after this point (Praxi never needs to
+  // regenerate features, §V-C).
   std::vector<const fs::ChangesetView*> changesets;
   std::vector<std::size_t> counts;
   changesets.reserve(pending.size());
@@ -289,11 +289,9 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
     changesets.push_back(&item.changeset);
     counts.push_back(item.n);
   }
-  const auto tagsets = snap->extract_tags(
-      std::span<const fs::ChangesetView* const>(changesets), model_.pool());
-  auto predictions =
-      snap->predict_tags(std::span<const columbus::TagSet>(tagsets),
-                         core::TopN(counts), model_.pool());
+  auto predictions = snap->classify(
+      std::span<const fs::ChangesetView* const>(changesets),
+      core::TopN(counts), model_.pool());
 
   if (testhooks::simulate_crash_before_commit) {
     throw std::runtime_error(

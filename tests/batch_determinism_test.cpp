@@ -204,6 +204,60 @@ TEST_F(BatchDeterminismTest, MultiLabelPredictBatchMatchesSequentialLoop) {
   }
 }
 
+// The server's fused extract -> predict task must label every item exactly
+// as the two-step path that materializes a TagSet first.
+TEST_F(BatchDeterminismTest, ClassifyMatchesPredictTagsOfExtractTags) {
+  std::vector<const fs::Changeset*> test = split(*dirty_, 6, true);
+  for (const fs::Changeset* cs : split(*multi_, 5, true)) test.push_back(cs);
+  std::vector<std::string> wires;
+  for (const fs::Changeset* cs : test) {
+    service::ChangesetReport report;
+    report.agent_id = "agent-0";
+    report.changeset = *cs;
+    wires.push_back(report.to_wire());
+  }
+  std::vector<service::ReportView> reports;
+  for (const auto& wire : wires) {
+    reports.push_back(service::ChangesetReport::view_wire(wire));
+  }
+  std::vector<const fs::ChangesetView*> views;
+  for (const auto& report : reports) views.push_back(&report.changeset);
+  EXPECT_THROW(Praxi().snapshot()->classify(views), std::logic_error);
+
+  for (const LabelMode mode :
+       {LabelMode::kSingleLabel, LabelMode::kMultiLabel}) {
+    auto train = split(*dirty_, 6, false);
+    if (mode == LabelMode::kMultiLabel) {
+      for (const fs::Changeset* cs : split(*multi_, 5, false)) {
+        train.push_back(cs);
+      }
+    }
+    std::vector<std::size_t> counts;
+    for (const fs::Changeset* cs : test) {
+      counts.push_back(mode == LabelMode::kSingleLabel ? 1
+                                                       : cs->labels().size());
+    }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      PraxiConfig config;
+      config.mode = mode;
+      config.runtime.num_threads = threads;
+      Praxi model(config);
+      model.train_changesets(train);
+      const auto snap = model.snapshot();
+      EXPECT_THROW(snap->classify(views, std::vector<std::size_t>(1, 1)),
+                   std::invalid_argument);
+      const auto got = snap->classify(views, counts, model.pool());
+      ASSERT_EQ(got.size(), test.size());
+      for (std::size_t i = 0; i < test.size(); ++i) {
+        EXPECT_EQ(got[i],
+                  snap->predict_tags(snap->extract_tags(*test[i]), counts[i]))
+            << "mode=" << static_cast<int>(mode) << " threads=" << threads
+            << " item=" << i;
+      }
+    }
+  }
+}
+
 TEST_F(BatchDeterminismTest, SetNumThreadsRetunesALiveModel) {
   const auto train = split(*dirty_, 6, false);
   const auto test = split(*dirty_, 6, true);

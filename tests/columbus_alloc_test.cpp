@@ -112,6 +112,74 @@ TEST(ColumbusAlloc, ExtractRankedIsAllocationFreeAfterWarmup) {
       << " heap allocations";
 }
 
+/// Directory-heavy changesets: every path sits in its own nested directory
+/// (many distinct directories, each tokenized once), and the directory sets
+/// of consecutive changesets overlap.
+std::vector<std::vector<std::string>> directory_heavy_paths() {
+  std::vector<std::vector<std::string>> out;
+  for (int c = 0; c < 6; ++c) {
+    std::vector<std::string> paths;
+    for (int i = 0; i < 300; ++i) {
+      paths.push_back("/opt/Vendor-" + std::to_string((c + i) % 9) +
+                      "/pkg-" + std::to_string(i) + "/lib/share/sub-" +
+                      std::to_string(i % 13) + "/file-" +
+                      std::to_string(i % 17) + ".so");
+    }
+    out.push_back(std::move(paths));
+  }
+  return out;
+}
+
+std::size_t run_ranked(const Columbus& columbus,
+                       const std::vector<std::string>& paths,
+                       ExtractionScratch& scratch) {
+  scratch.begin();
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    scratch.paths.push_back(PathRef{paths[i], i % 4 == 0});
+  }
+  return columbus.extract_ranked(scratch).size();
+}
+
+TEST(ColumbusAlloc, DirectoryHeavyExtractionIsAllocationFreeAfterWarmup) {
+  const Columbus columbus;
+  ExtractionScratch scratch;
+  const auto changesets = directory_heavy_paths();
+  std::size_t tags = 0;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const auto& paths : changesets) {
+      tags = run_ranked(columbus, paths, scratch);
+    }
+  }
+  ASSERT_GT(tags, 0u);
+  ASSERT_GE(scratch.dirs.size(), 300u);
+
+  const std::uint64_t before = g_new_calls.load(std::memory_order_relaxed);
+  for (int pass = 0; pass < 5; ++pass) {
+    for (const auto& paths : changesets) {
+      run_ranked(columbus, paths, scratch);
+    }
+  }
+  const std::uint64_t after = g_new_calls.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state extraction performed " << (after - before)
+      << " heap allocations";
+}
+
+// The warm-reuse signal compares capacity_bytes() before and after an
+// extraction, so growth of the directory cache must show in it.
+TEST(ColumbusAlloc, FootprintCountsTheDirectoryCache) {
+  ExtractionScratch scratch;
+  std::size_t last = scratch.capacity_bytes();
+  scratch.dirs.intern("/opt/vendor");
+  EXPECT_GT(scratch.capacity_bytes(), last);
+  last = scratch.capacity_bytes();
+  scratch.dir_ids.reserve(1024);
+  EXPECT_GE(scratch.capacity_bytes(), last + 1024 * sizeof(std::uint32_t));
+  last = scratch.capacity_bytes();
+  scratch.dir_ends.reserve(1024);
+  EXPECT_GE(scratch.capacity_bytes(), last + 1024 * sizeof(std::uint32_t));
+}
+
 TEST(ColumbusAlloc, WarmScratchFootprintIsStable) {
   const Columbus columbus;
   ExtractionScratch scratch;

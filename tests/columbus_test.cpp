@@ -134,5 +134,128 @@ TEST(Columbus, NoiseFilteringRejectsOneOffLogTouches) {
   EXPECT_EQ(ts.tags[0].text, "mysql");
 }
 
+// ---------------------------------------------------------------------------
+// Pass 1 tokenizes each distinct directory once and, per path, only the part
+// after the last '/'. Every path shape below must still give the tags of the
+// reference pipeline, which tokenizes every path whole.
+// ---------------------------------------------------------------------------
+
+/// The configurations the split is checked under: the defaults, and one
+/// that keeps every tag (min_frequency 1, no length floor, no top-k cut).
+std::vector<Columbus> split_configs() {
+  ColumbusConfig keep_all;
+  keep_all.top_k = 0;
+  keep_all.min_frequency = 1;
+  keep_all.min_tag_length = 1;
+  return {Columbus(), Columbus(keep_all)};
+}
+
+void expect_split_matches_reference(const std::vector<std::string>& paths,
+                                    const std::vector<bool>& executable,
+                                    ExtractionScratch& scratch) {
+  for (const Columbus& columbus : split_configs()) {
+    const TagSet reference =
+        columbus.extract_from_paths_reference(paths, executable);
+    EXPECT_EQ(columbus.extract_from_paths(paths, executable, scratch),
+              reference)
+        << "min_frequency=" << columbus.config().min_frequency;
+  }
+}
+
+void expect_split_matches_reference(const std::vector<std::string>& paths,
+                                    const std::vector<bool>& executable) {
+  ExtractionScratch scratch;
+  expect_split_matches_reference(paths, executable, scratch);
+}
+
+/// Appends 26 non-executable tokens three times each, so under the default
+/// top_k the name trie's tags crowd out every rarer token and only FT_exec
+/// can bring an executable's basename into the merged tags.
+void add_crowd(std::vector<std::string>& paths, std::vector<bool>& executable) {
+  for (char c = 'a'; c <= 'z'; ++c) {
+    for (int copy = 0; copy < 3; ++copy) {
+      paths.push_back(std::string("/srv/crowd-") + c + c + "-pkg");
+      executable.push_back(false);
+    }
+  }
+}
+
+TEST(ColumbusDirectorySplit, PathsWithoutSlash) {
+  std::vector<std::string> paths = {"mysqld", "mysqld", "MySQLd",
+                                    "relative-tool", "relative-tool", "x"};
+  std::vector<bool> executable = {true, false, true, false, true, true};
+  expect_split_matches_reference(paths, executable);
+  add_crowd(paths, executable);
+  expect_split_matches_reference(paths, executable);
+}
+
+TEST(ColumbusDirectorySplit, RootDoubleAndTrailingSlashes) {
+  expect_split_matches_reference(
+      {"/", "/", "//", "//nginx//conf//", "//nginx//conf//", "//a//b",
+       "/opt/nginx/", "/opt/nginx/", "nginx/", "nginx//", "//nginx",
+       "/nginx/nginx-core"},
+      {true, true, false, true, false, true, true, false, true, true, true,
+       true});
+}
+
+TEST(ColumbusDirectorySplit, UpperCaseDirectoriesFoldIntoTheArena) {
+  expect_split_matches_reference(
+      {"/ETC/MySQL/Conf.d/a.cnf", "/etc/mysql/conf.d/b.cnf",
+       "/ETC/MySQL/Conf.d/c.cnf", "/Etc/MySQL/Data/mysqld",
+       "/OPT/MySQL-Server/BIN/MySQLd", "/opt/mysql-server/bin/mysqld"},
+      {false, false, false, true, true, true});
+}
+
+TEST(ColumbusDirectorySplit, DirectoriesOfOnlySystemTokens) {
+  expect_split_matches_reference(
+      {"/usr/lib/share/doc/redis-server", "/usr/lib/share/doc/redis-cli",
+       "/usr/bin/redis", "/usr/bin/redis-benchmark", "/var/log/redis.log",
+       "/usr/share/man/man1/redis.1.gz"},
+      {false, false, true, true, false, false});
+}
+
+TEST(ColumbusDirectorySplit, OneBasenameUnderManyDirectories) {
+  std::vector<std::string> paths;
+  std::vector<bool> executable;
+  for (int i = 0; i < 40; ++i) {
+    paths.push_back("/opt/app-" + std::to_string(i % 7) + "/lib" +
+                    std::to_string(i % 3) + "/common-basename");
+    executable.push_back(i % 2 == 0);
+  }
+  expect_split_matches_reference(paths, executable);
+}
+
+TEST(ColumbusDirectorySplit, ExecutableWithUpperCaseBasename) {
+  std::vector<std::string> paths = {"/usr/bin/MySQLd", "/usr/sbin/MYSQLD",
+                                    "/opt/MySQLAdmin", "/opt/mysql/MySQLAdmin",
+                                    "MySQLDump"};
+  std::vector<bool> executable(paths.size(), true);
+  expect_split_matches_reference(paths, executable);
+  add_crowd(paths, executable);
+  expect_split_matches_reference(paths, executable);
+}
+
+TEST(ColumbusDirectorySplit, ReusedScratchResetsTheDirectoryTable) {
+  // Overlapping directories across changesets: a directory cached by one
+  // extraction must not leak its ids or counts into the next.
+  const std::vector<std::vector<std::string>> changesets = {
+      {"/opt/nginx/conf/nginx.conf", "/opt/nginx/conf/mime.types",
+       "/opt/nginx/sbin/nginx"},
+      {"/opt/nginx/conf/nginx.conf", "/opt/redis/conf/redis.conf",
+       "/opt/redis/conf/sentinel.conf", "/opt/redis/bin/redis-server"},
+      {"/opt/redis/conf/redis.conf", "/opt/nginx/sbin/nginx",
+       "/opt/nginx/sbin/nginx-debug"},
+      {},
+      {"/opt/nginx/conf/nginx.conf", "/opt/nginx/conf/nginx.conf"},
+  };
+  ExtractionScratch scratch;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& paths : changesets) {
+      const std::vector<bool> executable(paths.size(), true);
+      expect_split_matches_reference(paths, executable, scratch);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace praxi::columbus

@@ -315,5 +315,35 @@ TEST(TrieEquivalence, RandomCorpusSweep) {
   }
 }
 
+// The arena walk skips every child rarer than min_frequency (a node is
+// never rarer than its descendants, so such a subtree holds no tag). Pin it
+// against the legacy trie, which walks everything: at 0 and 1 nothing is
+// pruned, at 2 and 3 most single-occurrence tails are.
+TEST(TrieEquivalence, PrunedWalkMatchesAtEveryMinFrequency) {
+  Rng rng(29);
+  for (int round = 0; round < 40; ++round) {
+    std::vector<std::string> tokens;
+    const std::size_t distinct = 1 + rng.below(40);
+    for (std::size_t i = 0; i < distinct; ++i) {
+      std::string token;
+      const std::size_t len = 1 + rng.below(10);
+      for (std::size_t j = 0; j < len; ++j) {
+        token.push_back(static_cast<char>('a' + rng.below(4)));
+      }
+      // A multiset: each distinct token 1-4 times.
+      const std::size_t copies = 1 + rng.below(4);
+      for (std::size_t c = 0; c < copies; ++c) tokens.push_back(token);
+    }
+    for (const std::uint32_t min_frequency : {0u, 1u, 2u, 3u}) {
+      for (const std::size_t min_length : {std::size_t{1}, std::size_t{3}}) {
+        EXPECT_EQ(legacy_tags(tokens, min_length, min_frequency, 0),
+                  flat_tags(tokens, min_length, min_frequency, 0))
+            << "round=" << round << " min_frequency=" << min_frequency
+            << " min_length=" << min_length;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace praxi::columbus

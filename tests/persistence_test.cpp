@@ -352,7 +352,8 @@ void ingest_like_the_server(std::string_view wire) {
   const auto view = service::ChangesetReport::view_wire(wire);
   (void)core::DiscoveryService::infer_quantity(view.changeset, {});
   columbus::Columbus columbus;
-  (void)columbus.extract(view.changeset, columbus::tls_extraction_scratch());
+  (void)columbus.extract_ranked(view.changeset,
+                                columbus::tls_extraction_scratch());
   (void)service::ChangesetReport::from_wire(wire);
 }
 

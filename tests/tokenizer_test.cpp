@@ -62,5 +62,64 @@ TEST(Tokenizer, EmptyAndRootPaths) {
   EXPECT_TRUE(tokenizer.tokenize("/usr/bin").empty());
 }
 
+/// Membership by linear scan of the filter list: the oracle for the
+/// bucketed lookup.
+bool listed(const Tokenizer& tokenizer, std::string_view token) {
+  for (const std::string& entry : tokenizer.system_tokens()) {
+    if (entry == token) return true;
+  }
+  return false;
+}
+
+TEST(Tokenizer, BucketedLookupMatchesTheListUnderOneByteMutations) {
+  const Tokenizer tokenizer;
+  ASSERT_FALSE(tokenizer.system_tokens().empty());
+  std::size_t probes = 0;
+  for (const std::string& token : tokenizer.system_tokens()) {
+    EXPECT_TRUE(tokenizer.is_system_token(token)) << token;
+    for (std::size_t i = 0; i <= token.size(); ++i) {
+      if (i < token.size()) {
+        std::string dropped = token;  // deletion
+        dropped.erase(i, 1);
+        EXPECT_EQ(tokenizer.is_system_token(dropped), listed(tokenizer, dropped))
+            << dropped;
+      }
+      for (int byte = 0; byte < 256; ++byte) {
+        std::string inserted = token;  // insertion
+        inserted.insert(i, 1, static_cast<char>(byte));
+        EXPECT_EQ(tokenizer.is_system_token(inserted),
+                  listed(tokenizer, inserted));
+        if (i == token.size()) continue;
+        std::string replaced = token;  // substitution
+        replaced[i] = static_cast<char>(byte);
+        EXPECT_EQ(tokenizer.is_system_token(replaced),
+                  listed(tokenizer, replaced));
+        probes += 2;
+      }
+    }
+  }
+  EXPECT_GT(probes, 10000u);
+}
+
+TEST(Tokenizer, CustomListWithEmptyLongAndSharedBucketTokens) {
+  // The bucket keeps four bits of the length, so "" and the 16- and
+  // 32-byte tokens share the length-0 row; the man<N> family shares one
+  // bucket.
+  const Tokenizer tokenizer({"", "x86_64-linux-gnu", "abcdefghijklmnopqrstuvwxyz012345",
+                             "man1", "man2", "man9", "Upper"});
+  EXPECT_TRUE(tokenizer.is_system_token(""));
+  EXPECT_TRUE(tokenizer.is_system_token("x86_64-linux-gnu"));
+  EXPECT_TRUE(tokenizer.is_system_token("abcdefghijklmnopqrstuvwxyz012345"));
+  EXPECT_TRUE(tokenizer.is_system_token("man9"));
+  EXPECT_TRUE(tokenizer.is_system_token("Upper"));
+  EXPECT_FALSE(tokenizer.is_system_token("upper"));
+  EXPECT_FALSE(tokenizer.is_system_token("man3"));
+  EXPECT_FALSE(tokenizer.is_system_token("x86_64-linux-gnx"));
+  // A copied tokenizer answers the same (the table holds indices).
+  const Tokenizer copy = tokenizer;
+  EXPECT_TRUE(copy.is_system_token("x86_64-linux-gnu"));
+  EXPECT_FALSE(copy.is_system_token("man3"));
+}
+
 }  // namespace
 }  // namespace praxi::columbus

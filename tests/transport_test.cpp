@@ -16,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "columbus/columbus.hpp"
 #include "common/serialize.hpp"
 #include "eval/harness.hpp"
 #include "net/faulty_transport.hpp"
@@ -739,17 +740,18 @@ TEST_F(FaultMatrixTest, InterleavedV1AndV2FramesMatchAV1OnlyRun) {
   }
   EXPECT_EQ(mixed_inventory, v1_inventory);
 
-  const auto snap = model_->snapshot();
+  const columbus::Columbus columbus;
+  columbus::ExtractionScratch v1_scratch;
+  columbus::ExtractionScratch v2_scratch;
   for (const auto& report : reports) {
     const std::string v1 = report.to_wire_v1();
     const std::string v2 = report.to_wire();
     const auto v1_view = ChangesetReport::view_wire(v1);
     const auto v2_view = ChangesetReport::view_wire(v2);
-    const fs::ChangesetView* views[] = {&v1_view.changeset,
-                                        &v2_view.changeset};
-    const auto tags =
-        snap->extract_tags(std::span<const fs::ChangesetView* const>(views));
-    EXPECT_EQ(tags[0], tags[1]) << report.agent_id << "/" << report.sequence;
+    const auto v1_tags = columbus.extract_ranked(v1_view.changeset, v1_scratch);
+    const auto v2_tags = columbus.extract_ranked(v2_view.changeset, v2_scratch);
+    EXPECT_TRUE(std::ranges::equal(v1_tags, v2_tags))
+        << report.agent_id << "/" << report.sequence;
   }
 }
 
