@@ -226,6 +226,42 @@ void BM_ColumbusExtractInstallWave(benchmark::State& state) {
 }
 BENCHMARK(BM_ColumbusExtractInstallWave)->Unit(benchmark::kMicrosecond);
 
+// The worst case for the per-directory pass: the install_wave reports with
+// every path moved under a directory of its own, so no directory repeats
+// within a report. The inserted segment is the record's index, which the
+// tokenizer drops (all digits), so the tags are those of the row above.
+void BM_ColumbusExtractDirectoryPerPath(benchmark::State& state) {
+  struct Report {
+    std::vector<std::string> paths;
+    std::vector<bool> executable;
+  };
+  std::vector<Report> reports;
+  for (const auto& cs : install_wave().changesets) {
+    Report report;
+    for (const auto& rec : cs.records()) {
+      const std::size_t slash = rec.path.rfind('/');
+      const std::string index = std::to_string(report.paths.size());
+      report.paths.push_back(
+          slash == std::string::npos
+              ? index + "/" + rec.path
+              : rec.path.substr(0, slash) + "/" + index + rec.path.substr(slash));
+      report.executable.push_back(rec.executable());
+    }
+    reports.push_back(std::move(report));
+  }
+  columbus::Columbus columbus;
+  std::size_t i = 0;
+  std::int64_t records = 0;
+  for (auto _ : state) {
+    const Report& report = reports[i++ % reports.size()];
+    benchmark::DoNotOptimize(
+        columbus.extract_from_paths(report.paths, report.executable));
+    records += static_cast<std::int64_t>(report.paths.size());
+  }
+  state.SetItemsProcessed(records);
+}
+BENCHMARK(BM_ColumbusExtractDirectoryPerPath)->Unit(benchmark::kMicrosecond);
+
 // The server's fused extract -> predict task over decoded wire views, one
 // install_wave report per iteration, multi-label top-n as the quantity
 // screen would ask for.
@@ -255,7 +291,7 @@ void BM_SnapshotClassify(benchmark::State& state) {
   for (auto _ : state) {
     const std::size_t k = i++ % views.size();
     const fs::ChangesetView* item[] = {&views[k].changeset};
-    benchmark::DoNotOptimize(snap->classify(item, counts[k]));
+    benchmark::DoNotOptimize(snap->predict(item, counts[k]));
   }
 }
 BENCHMARK(BM_SnapshotClassify)->Unit(benchmark::kMicrosecond);

@@ -129,7 +129,7 @@ TagSet Columbus::extract(const fs::Changeset& changeset) const {
 
 TagSet Columbus::extract(const fs::Changeset& changeset,
                          ExtractionScratch& scratch) const {
-  TagSet ts = materialize(rank_records(*this, changeset.records(), scratch));
+  TagSet ts = materialize(extract_ranked(changeset, scratch));
   ts.labels = changeset.labels();
   return ts;
 }
@@ -161,6 +161,11 @@ TagSet Columbus::extract_from_paths(const std::vector<std::string>& paths,
         PathRef{paths[i], i < executable.size() && executable[i]});
   }
   return materialize(extract_ranked(scratch));
+}
+
+std::span<const TagView> Columbus::extract_ranked(
+    const fs::Changeset& changeset, ExtractionScratch& scratch) const {
+  return rank_records(*this, changeset.records(), scratch);
 }
 
 std::span<const TagView> Columbus::extract_ranked(

@@ -85,10 +85,12 @@ class Columbus {
   /// what tests/columbus_alloc_test.cpp asserts zero allocations on.
   std::span<const TagView> extract_ranked(ExtractionScratch& scratch) const;
 
-  /// extract_ranked() over a decoded wire view's paths (begin() included;
-  /// the server's ingest path): paths go from the view straight into the
-  /// scratch, no Changeset or owned tag string is built, and the tags are
-  /// identical to extracting the materialized changeset.
+  /// extract_ranked() over one changeset's paths (begin() included): the
+  /// paths go straight into the scratch and no owned tag string is built.
+  /// The wire-view form (the server's ingest path) needs no materialized
+  /// Changeset; both give the tags extract() would.
+  std::span<const TagView> extract_ranked(const fs::Changeset& changeset,
+                                          ExtractionScratch& scratch) const;
   std::span<const TagView> extract_ranked(const fs::ChangesetView& changeset,
                                           ExtractionScratch& scratch) const;
 

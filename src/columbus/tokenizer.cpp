@@ -6,7 +6,6 @@
 #include "common/strings.hpp"
 
 namespace praxi::columbus {
-namespace {
 
 std::vector<std::string> default_system_tokens() {
   return {
@@ -27,6 +26,8 @@ std::vector<std::string> default_system_tokens() {
       "journal", "entries",
   };
 }
+
+namespace {
 
 bool all_digits_or_punct(std::string_view token) {
   for (char c : token) {

@@ -23,10 +23,13 @@
 
 namespace praxi::columbus {
 
+/// The default system-token filter: standard FHS directory names, man
+/// sections, packaging boilerplate names, ...
+std::vector<std::string> default_system_tokens();
+
 class Tokenizer {
  public:
-  /// Constructs with the default system-token filter (standard FHS directory
-  /// names, man sections, packaging boilerplate names, ...).
+  /// Constructs with default_system_tokens().
   Tokenizer();
 
   /// Constructs with a caller-provided filter list.
@@ -56,11 +59,6 @@ class Tokenizer {
   /// probe's length and first byte, then an exact compare against the few
   /// entries that share it. No owned-string construction per lookup.
   bool is_system_token(std::string_view token) const;
-
-  /// The filter list, grouped by bucket.
-  const std::vector<std::string>& system_tokens() const {
-    return system_tokens_;
-  }
 
  private:
   static constexpr std::size_t kBuckets = 256;

@@ -126,11 +126,8 @@ DiscoveryEvent DiscoveryService::classify(fs::Changeset changeset) {
   const std::size_t n = model_.mode() == LabelMode::kSingleLabel
                             ? 1
                             : event.inferred_quantity;
-  // Pin one epoch for the whole report (docs/API.md). Extract once, predict
-  // from the tagset — keeps a single tokenization pass even if this path
-  // later also retains the tagset (§V-C).
-  const ModelSnapshotPtr snap = model_.snapshot();
-  event.applications = snap->predict_tags(snap->extract_tags(changeset), n);
+  // Pin one epoch for the whole report (docs/API.md).
+  event.applications = model_.snapshot()->predict(changeset, n);
   return event;
 }
 

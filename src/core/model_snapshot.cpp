@@ -64,9 +64,36 @@ std::vector<columbus::TagSet> ModelSnapshot::extract_tags(
   return columbus_.extract(changesets, pool);
 }
 
+template <typename AnyChangeset>
+std::vector<std::string> ModelSnapshot::predict_one(
+    const AnyChangeset& changeset, std::size_t n) const {
+  // The ranked tags stay views into this thread's scratch from extraction
+  // until they are hashed, so no tag string is ever copied.
+  const std::span<const columbus::TagView> tags =
+      columbus_.extract_ranked(changeset, columbus::tls_extraction_scratch());
+  obs::ScopedTimer timer(predict_seconds());
+  return predict_features(hash_tagset_features(hasher_, tags), n);
+}
+
+template <typename AnyChangeset>
+std::vector<std::vector<std::string>> ModelSnapshot::predict_batch(
+    std::span<const AnyChangeset* const> changesets, TopN n,
+    ThreadPool* pool) const {
+  if (!trained_) throw std::logic_error("Praxi: predict before train");
+  n.check(changesets.size(), "ModelSnapshot::predict");
+  std::vector<std::vector<std::string>> out(changesets.size());
+  // One task per item covers the whole chain (tokenize -> trie -> features
+  // -> scorer); everything it touches is frozen, so items never contend.
+  parallel_for(pool, changesets.size(), [&](std::size_t i) {
+    out[i] = predict_one(*changesets[i], n.at(i));
+  });
+  return out;
+}
+
 std::vector<std::string> ModelSnapshot::predict(const fs::Changeset& changeset,
                                                 std::size_t n) const {
-  return predict_tags(extract_tags(changeset), n);
+  if (!trained_) throw std::logic_error("Praxi: predict before train");
+  return predict_one(changeset, n);
 }
 
 std::vector<std::string> ModelSnapshot::predict_tags(
@@ -87,33 +114,13 @@ std::vector<std::string> ModelSnapshot::predict_features(
 std::vector<std::vector<std::string>> ModelSnapshot::predict(
     std::span<const fs::Changeset* const> changesets, TopN n,
     ThreadPool* pool) const {
-  if (!trained_) throw std::logic_error("Praxi: predict before train");
-  n.check(changesets.size(), "ModelSnapshot::predict");
-  std::vector<std::vector<std::string>> out(changesets.size());
-  // One task per item covers the whole chain (tokenize -> trie -> features
-  // -> scorer); everything it touches is frozen, so items never contend.
-  parallel_for(pool, changesets.size(), [&](std::size_t i) {
-    out[i] = predict_tags(extract_tags(*changesets[i]), n.at(i));
-  });
-  return out;
+  return predict_batch(changesets, n, pool);
 }
 
-std::vector<std::vector<std::string>> ModelSnapshot::classify(
+std::vector<std::vector<std::string>> ModelSnapshot::predict(
     std::span<const fs::ChangesetView* const> changesets, TopN n,
     ThreadPool* pool) const {
-  if (!trained_) throw std::logic_error("Praxi: predict before train");
-  n.check(changesets.size(), "ModelSnapshot::classify");
-  std::vector<std::vector<std::string>> out(changesets.size());
-  // One task per item: the ranked tags stay views into this thread's
-  // scratch from extraction until they are hashed, so no tag string is
-  // ever copied.
-  parallel_for(pool, changesets.size(), [&](std::size_t i) {
-    const std::span<const columbus::TagView> tags = columbus_.extract_ranked(
-        *changesets[i], columbus::tls_extraction_scratch());
-    obs::ScopedTimer timer(predict_seconds());
-    out[i] = predict_features(hash_tagset_features(hasher_, tags), n.at(i));
-  });
-  return out;
+  return predict_batch(changesets, n, pool);
 }
 
 std::vector<std::vector<std::string>> ModelSnapshot::predict_tags(

@@ -91,16 +91,17 @@ class ModelSnapshot {
                                         std::size_t n = 1) const;
 
   /// Batch prediction over raw changesets, input order preserved. `pool`
-  /// only changes wall-clock time, never results.
+  /// only changes wall-clock time, never results. Like the single-item
+  /// form, each item hashes its ranked tags straight out of the thread's
+  /// extraction scratch, so no TagSet is built; labels are identical to
+  /// predict_tags(extract_tags(...)).
   std::vector<std::vector<std::string>> predict(
       std::span<const fs::Changeset* const> changesets, TopN n = {},
       ThreadPool* pool = nullptr) const;
 
-  /// Batch classification of decoded wire views (server ingest): one task
-  /// per item extracts the ranked tags on the thread's scratch, hashes
-  /// them and scores, without materializing a TagSet. Labels are identical
-  /// to predict_tags(extract_tags(...)).
-  std::vector<std::vector<std::string>> classify(
+  /// Batch prediction over decoded wire views (server ingest); same
+  /// contract and labels as the Changeset batch above.
+  std::vector<std::vector<std::string>> predict(
       std::span<const fs::ChangesetView* const> changesets, TopN n = {},
       ThreadPool* pool = nullptr) const;
 
@@ -114,6 +115,16 @@ class ModelSnapshot {
       const columbus::TagSet& tagset) const;
 
  private:
+  /// The one changeset -> labels kernel behind every predict() form:
+  /// extract_ranked on this thread's scratch, hash the tag views, score.
+  /// Defined for fs::Changeset and fs::ChangesetView.
+  template <typename AnyChangeset>
+  std::vector<std::string> predict_one(const AnyChangeset& changeset,
+                                       std::size_t n) const;
+  template <typename AnyChangeset>
+  std::vector<std::vector<std::string>> predict_batch(
+      std::span<const AnyChangeset* const> changesets, TopN n,
+      ThreadPool* pool) const;
   std::vector<std::string> predict_features(const ml::FeatureVector& features,
                                             std::size_t n) const;
 

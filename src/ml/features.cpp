@@ -12,17 +12,6 @@ FeatureHasher::FeatureHasher(unsigned bits, std::uint32_t seed)
     throw std::invalid_argument("FeatureHasher: bits must be in [1, 30]");
 }
 
-FeatureVector FeatureHasher::hash(
-    std::span<const std::pair<std::string, float>> tokens) const {
-  FeatureVector features;
-  features.reserve(tokens.size());
-  for (const auto& [token, weight] : tokens) {
-    features.push_back(Feature{index_of(token), weight});
-  }
-  sum_collisions(features);
-  return features;
-}
-
 void sum_collisions(FeatureVector& features) {
   std::sort(features.begin(), features.end(),
             [](const Feature& a, const Feature& b) { return a.index < b.index; });

@@ -5,10 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -37,10 +34,6 @@ class FeatureHasher {
   std::uint32_t index_of(std::string_view token) const {
     return murmur3_32(token, seed_) & mask_;
   }
-
-  /// Hashes (token, weight) pairs into a sorted, duplicate-summed vector.
-  FeatureVector hash(
-      std::span<const std::pair<std::string, float>> tokens) const;
 
  private:
   unsigned bits_;

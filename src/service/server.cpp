@@ -289,7 +289,7 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
     changesets.push_back(&item.changeset);
     counts.push_back(item.n);
   }
-  auto predictions = snap->classify(
+  auto predictions = snap->predict(
       std::span<const fs::ChangesetView* const>(changesets),
       core::TopN(counts), model_.pool());
 

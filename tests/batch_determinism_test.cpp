@@ -204,9 +204,10 @@ TEST_F(BatchDeterminismTest, MultiLabelPredictBatchMatchesSequentialLoop) {
   }
 }
 
-// The server's fused extract -> predict task must label every item exactly
-// as the two-step path that materializes a TagSet first.
-TEST_F(BatchDeterminismTest, ClassifyMatchesPredictTagsOfExtractTags) {
+// Every predict form (wire views as the server ingests them, changesets,
+// one item) must label every item exactly as the two-step path that
+// materializes a TagSet first.
+TEST_F(BatchDeterminismTest, PredictFormsMatchPredictTagsOfExtractTags) {
   std::vector<const fs::Changeset*> test = split(*dirty_, 6, true);
   for (const fs::Changeset* cs : split(*multi_, 5, true)) test.push_back(cs);
   std::vector<std::string> wires;
@@ -222,7 +223,8 @@ TEST_F(BatchDeterminismTest, ClassifyMatchesPredictTagsOfExtractTags) {
   }
   std::vector<const fs::ChangesetView*> views;
   for (const auto& report : reports) views.push_back(&report.changeset);
-  EXPECT_THROW(Praxi().snapshot()->classify(views), std::logic_error);
+  EXPECT_THROW(Praxi().snapshot()->predict(views), std::logic_error);
+  EXPECT_THROW(Praxi().snapshot()->predict(*test[0]), std::logic_error);
 
   for (const LabelMode mode :
        {LabelMode::kSingleLabel, LabelMode::kMultiLabel}) {
@@ -244,15 +246,20 @@ TEST_F(BatchDeterminismTest, ClassifyMatchesPredictTagsOfExtractTags) {
       Praxi model(config);
       model.train_changesets(train);
       const auto snap = model.snapshot();
-      EXPECT_THROW(snap->classify(views, std::vector<std::size_t>(1, 1)),
+      EXPECT_THROW(snap->predict(views, std::vector<std::size_t>(1, 1)),
                    std::invalid_argument);
-      const auto got = snap->classify(views, counts, model.pool());
+      const auto got = snap->predict(views, counts, model.pool());
+      const auto got_changesets = snap->predict(test, counts, model.pool());
       ASSERT_EQ(got.size(), test.size());
+      ASSERT_EQ(got_changesets.size(), test.size());
       for (std::size_t i = 0; i < test.size(); ++i) {
-        EXPECT_EQ(got[i],
-                  snap->predict_tags(snap->extract_tags(*test[i]), counts[i]))
+        const auto expected =
+            snap->predict_tags(snap->extract_tags(*test[i]), counts[i]);
+        EXPECT_EQ(got[i], expected)
             << "mode=" << static_cast<int>(mode) << " threads=" << threads
             << " item=" << i;
+        EXPECT_EQ(got_changesets[i], expected) << "item=" << i;
+        EXPECT_EQ(snap->predict(*test[i], counts[i]), expected) << "item=" << i;
       }
     }
   }
