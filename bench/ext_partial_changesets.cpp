@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "bench_util.hpp"
+#include "common/rng.hpp"
 #include "eval/harness.hpp"
 #include "eval/metrics.hpp"
 #include "eval/table.hpp"

@@ -1,4 +1,4 @@
-// Fuzz harness: OAA classifier snapshot ("POA1") decoder.
+// Fuzz harness: OAA learner snapshot ("POA1") decoder.
 #include "fuzz_entry.hpp"
 
 #include "common/serialize.hpp"
@@ -8,7 +8,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const auto bytes = praxi::fuzz::as_view(data, size);
   try {
-    praxi::ml::OaaClassifier::from_binary(bytes);
+    praxi::ml::OnlineLearner::from_binary(bytes,
+                                          praxi::ml::Reduction::kOaa);
   } catch (const praxi::SerializeError&) {
     // Expected for arbitrary bytes; anything else escapes and is a finding.
   }

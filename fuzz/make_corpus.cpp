@@ -99,13 +99,14 @@ int main(int argc, char** argv) {
 
   ml::OnlineLearnerConfig learner_config;
   learner_config.bits = 8;
-  ml::OaaClassifier oaa(learner_config);
-  oaa.learn_one({{1, 1.0f}, {7, 0.5f}}, "nginx");
-  oaa.learn_one({{2, 1.0f}, {9, 0.5f}}, "redis");
+  ml::OnlineLearner oaa(ml::Reduction::kOaa, learner_config);
+  oaa.learn_one({{1, 1.0f}, {7, 0.5f}}, {"nginx"});
+  oaa.learn_one({{2, 1.0f}, {9, 0.5f}}, {"redis"});
   emit("poa1", "trained", oaa.to_binary());
-  emit("poa1", "empty", ml::OaaClassifier(learner_config).to_binary());
+  emit("poa1", "empty",
+       ml::OnlineLearner(ml::Reduction::kOaa, learner_config).to_binary());
 
-  ml::CsoaaClassifier csoaa(learner_config);
+  ml::OnlineLearner csoaa(ml::Reduction::kCsoaa, learner_config);
   csoaa.learn_one({{1, 1.0f}, {7, 0.5f}}, {"nginx", "redis"});
   emit("pcs2", "trained", csoaa.to_binary());
 

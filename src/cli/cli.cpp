@@ -315,21 +315,49 @@ int cmd_inspect(const Options& options, std::ostream& out,
   return 0;
 }
 
-/// Loopback discovery service: DiscoveryServer draining a net::SocketServer
-/// until a stop bound is reached. One of --max-reports / --duration-s is
+/// `serve` and `cluster` run until a stop bound: --max-reports N processed
+/// reports or --duration-s S seconds, whichever comes first. One of them is
 /// mandatory — an unbounded server belongs in an init system, not a CLI.
+bool has_stop_bound(const Options& options, const char* command,
+                    std::ostream& err) {
+  if (options.has("max-reports") || options.has("duration-s")) return true;
+  err << command
+      << ": a stop bound is required: --max-reports N or --duration-s S\n";
+  return false;
+}
+
+/// Calls `round` (one process() pass, returning its discoveries) every
+/// 5 ms until `processed()` reaches --max-reports or --duration-s elapses,
+/// counting from this call. Returns the discoveries the rounds made.
+template <typename Round, typename Processed>
+std::size_t run_until_stop_bound(const Options& options, Round round,
+                                 Processed processed) {
+  const bool has_max = options.has("max-reports");
+  const bool has_duration = options.has("duration-s");
+  const std::uint64_t max_reports =
+      has_max ? std::stoull(options.get("max-reports", "0")) : 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::milliseconds(static_cast<std::int64_t>(
+          std::stod(options.get("duration-s", "0")) * 1e3));
+  std::size_t discoveries = 0;
+  while (true) {
+    discoveries += round();
+    if (has_max && processed() >= max_reports) break;
+    if (has_duration && std::chrono::steady_clock::now() >= deadline) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return discoveries;
+}
+
+/// Loopback discovery service: DiscoveryServer draining a net::SocketServer
+/// until a stop bound is reached.
 int cmd_serve(const Options& options, std::ostream& out, std::ostream& err) {
   if (!options.has("model")) {
     err << "serve: --model M required\n";
     return 2;
   }
-  const bool has_max = options.has("max-reports");
-  const bool has_duration = options.has("duration-s");
-  if (!has_max && !has_duration) {
-    err << "serve: a stop bound is required: --max-reports N or "
-           "--duration-s S\n";
-    return 2;
-  }
+  if (!has_stop_bound(options, "serve", err)) return 2;
 
   // Transport knobs follow docs/API.md precedence: struct defaults, then
   // the command line (applied last, so it wins).
@@ -359,19 +387,9 @@ int cmd_serve(const Options& options, std::ostream& out, std::ostream& err) {
   }
   out << "listening on 127.0.0.1:" << transport.port() << "\n";
 
-  const std::uint64_t max_reports =
-      has_max ? std::stoull(options.get("max-reports", "0")) : 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(static_cast<std::int64_t>(
-          std::stod(options.get("duration-s", "0")) * 1e3));
-  std::size_t discoveries = 0;
-  while (true) {
-    discoveries += server.process(transport).size();
-    if (has_max && server.processed() >= max_reports) break;
-    if (has_duration && std::chrono::steady_clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  std::size_t discoveries = run_until_stop_bound(
+      options, [&] { return server.process(transport).size(); },
+      [&] { return server.processed(); });
   transport.close();
   // Settle anything that arrived while shutting down.
   discoveries += server.process(transport).size();
@@ -399,13 +417,7 @@ int cmd_cluster(const Options& options, std::ostream& out, std::ostream& err) {
     err << "cluster: --model M required\n";
     return 2;
   }
-  const bool has_max = options.has("max-reports");
-  const bool has_duration = options.has("duration-s");
-  if (!has_max && !has_duration) {
-    err << "cluster: a stop bound is required: --max-reports N or "
-           "--duration-s S\n";
-    return 2;
-  }
+  if (!has_stop_bound(options, "cluster", err)) return 2;
 
   cluster::ClusterConfig config;
   config.shards = std::stoul(options.get("shards", "2"));
@@ -446,19 +458,8 @@ int cmd_cluster(const Options& options, std::ostream& out, std::ostream& err) {
     }
     return total;
   };
-  const std::uint64_t max_reports =
-      has_max ? std::stoull(options.get("max-reports", "0")) : 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(static_cast<std::int64_t>(
-          std::stod(options.get("duration-s", "0")) * 1e3));
-  std::size_t discoveries = 0;
-  while (true) {
-    discoveries += router.process(frontend).size();
-    if (has_max && processed() >= max_reports) break;
-    if (has_duration && std::chrono::steady_clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  std::size_t discoveries = run_until_stop_bound(
+      options, [&] { return router.process(frontend).size(); }, processed);
   frontend.close();
   // Settle anything that arrived while shutting down.
   discoveries += router.process(frontend).size();

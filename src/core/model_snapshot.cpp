@@ -72,7 +72,7 @@ std::vector<std::string> ModelSnapshot::predict_one(
   const std::span<const columbus::TagView> tags =
       columbus_.extract_ranked(changeset, columbus::tls_extraction_scratch());
   obs::ScopedTimer timer(predict_seconds());
-  return predict_features(hash_tagset_features(hasher_, tags), n);
+  return learner_.predict(hash_tagset_features(hasher_, tags), n);
 }
 
 template <typename AnyChangeset>
@@ -100,15 +100,7 @@ std::vector<std::string> ModelSnapshot::predict_tags(
     const columbus::TagSet& tagset, std::size_t n) const {
   if (!trained_) throw std::logic_error("Praxi: predict before train");
   obs::ScopedTimer timer(predict_seconds());
-  return predict_features(features_of(tagset), n);
-}
-
-std::vector<std::string> ModelSnapshot::predict_features(
-    const ml::FeatureVector& features, std::size_t n) const {
-  if (mode_ == LabelMode::kSingleLabel) {
-    return {learner_.predict(features)};
-  }
-  return learner_.predict_top_n(features, n);
+  return learner_.predict(features_of(tagset), n);
 }
 
 std::vector<std::vector<std::string>> ModelSnapshot::predict(
@@ -137,16 +129,7 @@ std::vector<std::vector<std::string>> ModelSnapshot::predict_tags(
 std::vector<std::pair<std::string, float>> ModelSnapshot::ranked(
     const columbus::TagSet& tagset) const {
   if (!trained_) throw std::logic_error("Praxi: ranked before train");
-  const auto features = features_of(tagset);
-  if (mode_ == LabelMode::kSingleLabel) {
-    return learner_.scores(features);
-  }
-  // CSOAA costs ascend; flip sign so "higher is more likely" holds.
-  auto costs = learner_.costs(features);
-  std::vector<std::pair<std::string, float>> out;
-  out.reserve(costs.size());
-  for (auto& [label, cost] : costs) out.emplace_back(std::move(label), -cost);
-  return out;
+  return learner_.ranked(features_of(tagset));
 }
 
 }  // namespace praxi::core

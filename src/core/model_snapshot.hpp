@@ -11,8 +11,9 @@
 //
 // Predictions here are bit-identical to the live engine at the publish
 // point: the tag-extraction, feature-hashing, and scoring code is the SAME
-// code Praxi runs (columbus::Columbus, hash_tagset_features, the
-// ml::detail kernels) over frozen copies of the same state.
+// code Praxi runs (columbus::Columbus, hash_tagset_features,
+// ml::OnlineLearner) over frozen copies of the same state. The learner is
+// held as a `const` copy, so no snapshot code can mutate its weights.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +29,7 @@
 #include "core/top_n.hpp"
 #include "fs/changeset.hpp"
 #include "ml/features.hpp"
-#include "ml/model_snapshot.hpp"
+#include "ml/online_learner.hpp"
 
 namespace praxi::core {
 
@@ -52,7 +53,7 @@ class ModelSnapshot {
   /// Built by Praxi's publish path; not meant for direct construction.
   ModelSnapshot(std::uint64_t epoch, LabelMode mode, bool trained,
                 columbus::Columbus columbus, ml::FeatureHasher hasher,
-                ml::LearnerSnapshot learner)
+                ml::OnlineLearner learner)
       : epoch_(epoch),
         mode_(mode),
         trained_(trained),
@@ -125,15 +126,13 @@ class ModelSnapshot {
   std::vector<std::vector<std::string>> predict_batch(
       std::span<const AnyChangeset* const> changesets, TopN n,
       ThreadPool* pool) const;
-  std::vector<std::string> predict_features(const ml::FeatureVector& features,
-                                            std::size_t n) const;
 
   std::uint64_t epoch_;
   LabelMode mode_;
   bool trained_;
   columbus::Columbus columbus_;
   ml::FeatureHasher hasher_;
-  ml::LearnerSnapshot learner_;
+  const ml::OnlineLearner learner_;
 };
 
 /// The handle readers hold. Pin once per batch of work (one acquire load),

@@ -55,14 +55,31 @@ SnapshotInstruments& snapshot_instruments() {
   return instruments;
 }
 
+ml::Reduction reduction_of(LabelMode mode) {
+  return mode == LabelMode::kSingleLabel ? ml::Reduction::kOaa
+                                         : ml::Reduction::kCsoaa;
+}
+
+/// Both train() and learn_one() take labeled tagsets: exactly one label in
+/// kSingleLabel mode, one or more in kMultiLabel mode.
+void check_label_count(LabelMode mode, const columbus::TagSet& tagset) {
+  if (mode == LabelMode::kSingleLabel && tagset.labels.size() != 1) {
+    throw std::invalid_argument(
+        "Praxi(kSingleLabel): tagset must carry exactly one label");
+  }
+  if (mode == LabelMode::kMultiLabel && tagset.labels.empty()) {
+    throw std::invalid_argument(
+        "Praxi(kMultiLabel): tagset must carry at least one label");
+  }
+}
+
 }  // namespace
 
 Praxi::Praxi(PraxiConfig config)
     : config_(config),
       columbus_(config.columbus),
       hasher_(config.learner.bits),
-      oaa_(config.learner),
-      csoaa_(config.learner) {
+      learner_(reduction_of(config.mode), config.learner) {
   if (config_.runtime.num_threads != 1) {
     pool_ = std::make_shared<ThreadPool>(config_.runtime.num_threads);
   }
@@ -75,8 +92,7 @@ Praxi::Praxi(const Praxi& other)
     : config_(other.config_),
       columbus_(other.columbus_),
       hasher_(other.hasher_),
-      oaa_(other.oaa_),
-      csoaa_(other.csoaa_),
+      learner_(other.learner_),
       overhead_(other.overhead_),
       trained_(other.trained_),
       pool_(other.pool_),
@@ -89,8 +105,7 @@ Praxi& Praxi::operator=(const Praxi& other) {
   config_ = other.config_;
   columbus_ = other.columbus_;
   hasher_ = other.hasher_;
-  oaa_ = other.oaa_;
-  csoaa_ = other.csoaa_;
+  learner_ = other.learner_;
   overhead_ = other.overhead_;
   trained_ = other.trained_;
   pool_ = other.pool_;
@@ -106,8 +121,7 @@ Praxi::Praxi(Praxi&& other)
     : config_(std::move(other.config_)),
       columbus_(std::move(other.columbus_)),
       hasher_(other.hasher_),
-      oaa_(std::move(other.oaa_)),
-      csoaa_(std::move(other.csoaa_)),
+      learner_(std::move(other.learner_)),
       overhead_(other.overhead_),
       trained_(other.trained_),
       pool_(std::move(other.pool_)),
@@ -120,8 +134,7 @@ Praxi& Praxi::operator=(Praxi&& other) {
   config_ = std::move(other.config_);
   columbus_ = std::move(other.columbus_);
   hasher_ = other.hasher_;
-  oaa_ = std::move(other.oaa_);
-  csoaa_ = std::move(other.csoaa_);
+  learner_ = std::move(other.learner_);
   overhead_ = other.overhead_;
   trained_ = other.trained_;
   pool_ = std::move(other.pool_);
@@ -172,12 +185,9 @@ ModelSnapshotPtr Praxi::publish_snapshot() {
   // release exchange — readers pin epochs wait-free throughout.
   common::LockGuard lock(publish_mutex_);
   Stopwatch timer;
-  ml::LearnerSnapshot learner = config_.mode == LabelMode::kSingleLabel
-                                    ? oaa_.freeze()
-                                    : csoaa_.freeze();
   const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed) + 1;
   auto snap = std::make_shared<const ModelSnapshot>(
-      epoch, config_.mode, trained_, columbus_, hasher_, std::move(learner));
+      epoch, config_.mode, trained_, columbus_, hasher_, learner_);
   ModelSnapshotPtr retired =
       snapshot_.exchange(snap, std::memory_order_acq_rel);
   epoch_.store(epoch, std::memory_order_relaxed);
@@ -197,11 +207,7 @@ ModelSnapshotPtr Praxi::publish_snapshot() {
   // learn_one(); restore/rollover paths bypass that, so every publish
   // re-syncs them from the table's ground truth — the gauges can never
   // drift across an epoch swap (docs/OBSERVABILITY.md).
-  if (config_.mode == LabelMode::kSingleLabel) {
-    oaa_.sync_occupancy_gauges();
-  } else {
-    csoaa_.sync_occupancy_gauges();
-  }
+  learner_.sync_occupancy_gauges();
   return snap;
 }
 
@@ -221,31 +227,14 @@ void Praxi::maybe_publish_after_update() {
 void Praxi::train(const std::vector<columbus::TagSet>& tagsets) {
   obs::ScopedTimer train_timer(train_seconds());
   Stopwatch timer;
-  if (config_.mode == LabelMode::kSingleLabel) {
-    std::vector<ml::Example> examples;
-    examples.reserve(tagsets.size());
-    for (const auto& ts : tagsets) {
-      if (ts.labels.size() != 1) {
-        throw std::invalid_argument(
-            "Praxi(kSingleLabel): tagset must carry exactly one label");
-      }
-      examples.push_back(ml::Example{features_of(ts), ts.labels.front()});
-      overhead_.tagset_bytes += ts.size_bytes();
-    }
-    oaa_.train(examples);
-  } else {
-    std::vector<ml::MultiExample> examples;
-    examples.reserve(tagsets.size());
-    for (const auto& ts : tagsets) {
-      if (ts.labels.empty()) {
-        throw std::invalid_argument(
-            "Praxi(kMultiLabel): tagset must carry at least one label");
-      }
-      examples.push_back(ml::MultiExample{features_of(ts), ts.labels});
-      overhead_.tagset_bytes += ts.size_bytes();
-    }
-    csoaa_.train(examples);
+  std::vector<ml::Example> examples;
+  examples.reserve(tagsets.size());
+  for (const auto& ts : tagsets) {
+    check_label_count(config_.mode, ts);
+    examples.push_back(ml::Example{features_of(ts), ts.labels});
+    overhead_.tagset_bytes += ts.size_bytes();
   }
+  learner_.train(examples);
   overhead_.train_s += timer.elapsed_s();
   overhead_.model_bytes = model_bytes();
   trained_ = true;
@@ -266,41 +255,19 @@ void Praxi::train_changesets(const std::vector<const fs::Changeset*>& corpus) {
 }
 
 void Praxi::learn_one(const columbus::TagSet& tagset) {
-  if (config_.mode == LabelMode::kSingleLabel) {
-    if (tagset.labels.size() != 1) {
-      throw std::invalid_argument(
-          "Praxi(kSingleLabel): tagset must carry exactly one label");
-    }
-    oaa_.learn_one(features_of(tagset), tagset.labels.front());
-  } else {
-    if (tagset.labels.empty()) {
-      throw std::invalid_argument(
-          "Praxi(kMultiLabel): tagset must carry at least one label");
-    }
-    csoaa_.learn_one(features_of(tagset), tagset.labels);
-  }
+  check_label_count(config_.mode, tagset);
+  learner_.learn_one(features_of(tagset), tagset.labels);
   overhead_.tagset_bytes += tagset.size_bytes();
   trained_ = true;
   maybe_publish_after_update();
 }
 
 void Praxi::reset() {
-  oaa_.reset();
-  csoaa_.reset();
+  learner_.reset();
   overhead_ = PraxiOverhead{};
   trained_ = false;
   // Readers must not keep serving the discarded model: retire it now.
   publish_snapshot();
-}
-
-const ml::LabelSpace& Praxi::labels() const {
-  return config_.mode == LabelMode::kSingleLabel ? oaa_.labels()
-                                                 : csoaa_.labels();
-}
-
-std::size_t Praxi::model_bytes() const {
-  return config_.mode == LabelMode::kSingleLabel ? oaa_.size_bytes()
-                                                 : csoaa_.size_bytes();
 }
 
 namespace {
@@ -319,11 +286,7 @@ std::string Praxi::to_binary() const {
   w.put<std::uint64_t>(config_.columbus.min_tag_length);
   w.put<std::uint32_t>(config_.learner.bits);
   w.put<std::uint8_t>(trained_ ? 1 : 0);
-  if (config_.mode == LabelMode::kSingleLabel) {
-    w.put_string(oaa_.to_binary());
-  } else {
-    w.put_string(csoaa_.to_binary());
-  }
+  w.put_string(learner_.to_binary());
   return seal_snapshot(kPraxiMagic, kPraxiVersion, w.bytes());
 }
 
@@ -350,34 +313,23 @@ Praxi Praxi::from_binary(std::string_view bytes) {
   const std::string inner = r.get_string();
   r.require_end("Praxi model");
 
-  // Parse (and fully validate) the inner classifier BEFORE allocating the
-  // outer model's weight tables, and cross-check its table against the
-  // declared bits so hasher and table can never disagree.
-  const std::size_t expected_bytes =
-      (std::size_t{1} << config.learner.bits) * sizeof(float);
-  if (config.mode == LabelMode::kSingleLabel) {
-    auto oaa = ml::OaaClassifier::from_binary(inner);
-    if (oaa.size_bytes() != expected_bytes) {
-      throw SerializeError(
-          "Praxi model: classifier bits disagree with model header");
-    }
-    Praxi model(config);
-    model.oaa_ = std::move(oaa);
-    model.trained_ = trained;
-    // The classifier assignment above bypassed the learn path; publish so
-    // snapshot() serves the restored weights (and the occupancy gauges
-    // re-sync from the restored table).
-    model.publish_snapshot();
-    return model;
-  }
-  auto csoaa = ml::CsoaaClassifier::from_binary(inner);
-  if (csoaa.size_bytes() != expected_bytes) {
+  // Parse (and fully validate) the inner learner BEFORE allocating the
+  // outer model's weight table. Opening it by the mode's reduction rejects
+  // an inner blob of the other reduction; the size check rejects a table
+  // whose bits disagree with the header, so hasher and table agree.
+  ml::OnlineLearner learner =
+      ml::OnlineLearner::from_binary(inner, reduction_of(config.mode));
+  if (learner.size_bytes() !=
+      (std::size_t{1} << config.learner.bits) * sizeof(float)) {
     throw SerializeError(
         "Praxi model: classifier bits disagree with model header");
   }
   Praxi model(config);
-  model.csoaa_ = std::move(csoaa);
+  model.learner_ = std::move(learner);
   model.trained_ = trained;
+  // The learner assignment above bypassed the learn path; publish so
+  // snapshot() serves the restored weights (and the occupancy gauges
+  // re-sync from the restored table).
   model.publish_snapshot();
   return model;
 }

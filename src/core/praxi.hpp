@@ -7,8 +7,9 @@
 // appear. That combination is what buys the paper's 14.8x runtime and 87%
 // storage improvements over DeltaSherlock at comparable accuracy.
 //
-// The class supports both of the paper's problem settings:
-//   * kSingleLabel — one application per changeset (OAA classifier, §V-A);
+// The class supports both of the paper's problem settings, each served by
+// one ml::OnlineLearner running the matching reduction:
+//   * kSingleLabel — one application per changeset (OAA, §V-A);
 //   * kMultiLabel  — 2..5 applications per changeset (CSOAA, §V-B), where
 //     prediction takes the known or inferred application count n.
 //
@@ -161,9 +162,9 @@ class Praxi {
   /// construction to override whatever the model snapshot or defaults said.
   void set_runtime(const common::RuntimeConfig& runtime);
   const common::RuntimeConfig& runtime() const { return config_.runtime; }
-  const ml::LabelSpace& labels() const;
+  const ml::LabelSpace& labels() const { return learner_.labels(); }
   const PraxiOverhead& overhead() const { return overhead_; }
-  std::size_t model_bytes() const;
+  std::size_t model_bytes() const { return learner_.size_bytes(); }
 
   std::string to_binary() const;
   static Praxi from_binary(std::string_view bytes);
@@ -179,8 +180,7 @@ class Praxi {
   PraxiConfig config_;
   columbus::Columbus columbus_;
   ml::FeatureHasher hasher_;
-  ml::OaaClassifier oaa_;
-  ml::CsoaaClassifier csoaa_;
+  ml::OnlineLearner learner_;
   PraxiOverhead overhead_;
   bool trained_ = false;
   /// Lives only when num_threads != 1; shared so copies of a model reuse

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "obs/metrics.hpp"
 
@@ -11,8 +12,9 @@ namespace praxi::ml {
 
 namespace {
 
-/// Per-reduction learner instruments (docs/OBSERVABILITY.md). One struct per
-/// reduction label so each classifier caches its handles in a single static.
+/// Per-reduction learner instruments (docs/OBSERVABILITY.md): one struct per
+/// `reduction` label value, each cached in a single static. Live learners
+/// and the frozen copies snapshots serve feed the same series.
 struct LearnerInstruments {
   obs::Counter& updates;
   obs::Counter& predictions;
@@ -34,14 +36,10 @@ struct LearnerInstruments {
             {{"reduction", reduction}})) {}
 };
 
-LearnerInstruments& oaa_instruments() {
-  static LearnerInstruments instruments("oaa");
-  return instruments;
-}
-
-LearnerInstruments& csoaa_instruments() {
-  static LearnerInstruments instruments("csoaa");
-  return instruments;
+LearnerInstruments& instruments_for(Reduction reduction) {
+  static LearnerInstruments oaa("oaa");
+  static LearnerInstruments csoaa("csoaa");
+  return reduction == Reduction::kOaa ? oaa : csoaa;
 }
 
 }  // namespace
@@ -56,7 +54,6 @@ std::uint32_t LabelSpace::intern(const std::string& label) {
   const auto id = static_cast<std::uint32_t>(names_.size());
   names_.push_back(label);
   ids_.emplace(label, id);
-  ++version_;
   return id;
 }
 
@@ -117,60 +114,6 @@ void WeightTable::set_raw(std::vector<float> weights) {
                     [](float w) { return w != 0.0f; }));
 }
 
-std::string oaa_argmax(const WeightTable& table, const LabelSpace& labels,
-                       const FeatureVector& features) {
-  if (labels.size() == 0) return {};
-  std::uint32_t best = 0;
-  float best_score = table.score(features, 0);
-  for (std::uint32_t c = 1; c < labels.size(); ++c) {
-    const float s = table.score(features, c);
-    if (s > best_score) {
-      best_score = s;
-      best = c;
-    }
-  }
-  return labels.name(best);
-}
-
-std::vector<std::pair<std::string, float>> oaa_scores(
-    const WeightTable& table, const LabelSpace& labels,
-    const FeatureVector& features) {
-  std::vector<std::pair<std::string, float>> out;
-  out.reserve(labels.size());
-  for (std::uint32_t c = 0; c < labels.size(); ++c) {
-    out.emplace_back(labels.name(c), table.score(features, c));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  return out;
-}
-
-std::vector<std::pair<std::string, float>> csoaa_costs(
-    const WeightTable& table, const LabelSpace& labels,
-    const FeatureVector& features) {
-  std::vector<std::pair<std::string, float>> out;
-  out.reserve(labels.size());
-  for (std::uint32_t c = 0; c < labels.size(); ++c) {
-    out.emplace_back(labels.name(c), table.score(features, c));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
-  return out;
-}
-
-std::vector<std::string> csoaa_top_n(const WeightTable& table,
-                                     const LabelSpace& labels,
-                                     const FeatureVector& features,
-                                     std::size_t n) {
-  auto ranked = csoaa_costs(table, labels, features);
-  std::vector<std::string> out;
-  out.reserve(std::min(n, ranked.size()));
-  for (std::size_t i = 0; i < ranked.size() && i < n; ++i) {
-    out.push_back(std::move(ranked[i].first));
-  }
-  return out;
-}
-
 }  // namespace detail
 
 namespace {
@@ -204,7 +147,11 @@ constexpr std::uint32_t kOaaMagic = 0x504f4131U;    // "POA1"
 constexpr std::uint32_t kCsoaaMagic = 0x50435332U;  // "PCS2"
 constexpr std::uint32_t kLearnerVersion = 1;
 
-/// Shared payload layout of both classifiers (they differ only in magic).
+std::uint32_t magic_of(Reduction reduction) {
+  return reduction == Reduction::kOaa ? kOaaMagic : kCsoaaMagic;
+}
+
+/// Payload layout shared by both reductions (they differ only in magic).
 std::string learner_payload(const OnlineLearnerConfig& config,
                             std::uint64_t update_count,
                             const LabelSpace& labels,
@@ -262,135 +209,70 @@ LearnerParts parse_learner_payload(std::string_view payload, const char* what) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// OaaClassifier
+// OnlineLearner
 // ---------------------------------------------------------------------------
 
-OaaClassifier::OaaClassifier(OnlineLearnerConfig config)
-    : config_(config), table_(config.bits) {}
+OnlineLearner::OnlineLearner(Reduction reduction, OnlineLearnerConfig config)
+    : reduction_(reduction), config_(config), table_(config.bits) {}
 
-float OaaClassifier::next_learning_rate() {
+float OnlineLearner::next_learning_rate() {
   return decayed_learning_rate(config_.learning_rate, config_.power_t,
                                update_count_++);
 }
 
-void OaaClassifier::learn_one(const FeatureVector& features,
-                              const std::string& label) {
-  const std::uint32_t truth = labels_.intern(label);
-  const float lr = next_learning_rate();
-  for (std::uint32_t c = 0; c < labels_.size(); ++c) {
-    const float target = c == truth ? 1.0f : -1.0f;
-    const float margin = target * table_.score(features, c);
-    if (margin < 1.0f) {
-      table_.update(features, c, lr * target, config_.l2);
+void OnlineLearner::learn_one(const FeatureVector& features,
+                              const std::vector<std::string>& labels) {
+  if (reduction_ == Reduction::kOaa) {
+    if (labels.size() != 1) {
+      throw std::invalid_argument(
+          "OnlineLearner(kOaa): example must carry exactly one label");
+    }
+    const std::uint32_t truth = labels_.intern(labels.front());
+    const float lr = next_learning_rate();
+    for (std::uint32_t c = 0; c < labels_.size(); ++c) {
+      const float target = c == truth ? 1.0f : -1.0f;
+      const float margin = target * table_.score(features, c);
+      if (margin < 1.0f) {
+        table_.update(features, c, lr * target, config_.l2);
+      }
+    }
+  } else {
+    std::vector<std::uint32_t> present;
+    present.reserve(labels.size());
+    for (const auto& label : labels) present.push_back(labels_.intern(label));
+
+    const float lr = next_learning_rate();
+    for (std::uint32_t c = 0; c < labels_.size(); ++c) {
+      const bool is_present =
+          std::find(present.begin(), present.end(), c) != present.end();
+      // Regress the class score toward the example's cost: 0 when the
+      // package is present in the sample, 1 when absent (paper §III-C).
+      const float cost = is_present ? 0.0f : 1.0f;
+      const float prediction = table_.score(features, c);
+      const float gradient = prediction - cost;
+      // Importance-weight the rare "present" side so 2-5 positives are not
+      // drowned out by ~80 negatives.
+      const float importance = is_present ? 4.0f : 1.0f;
+      table_.update(features, c, -lr * importance * gradient, config_.l2);
     }
   }
-  auto& instruments = oaa_instruments();
-  instruments.updates.inc();
-  instruments.used_slots.set(static_cast<double>(table_.occupancy()));
-  instruments.total_slots.set(static_cast<double>(table_.slots()));
+  instruments_for(reduction_).updates.inc();
+  sync_occupancy_gauges();
 }
 
-void OaaClassifier::train(const std::vector<Example>& examples) {
+void OnlineLearner::train(const std::vector<Example>& examples) {
   // Register every label before the first pass so all binary problems see
   // negatives from the start of training.
-  for (const auto& ex : examples) labels_.intern(ex.label);
-
-  std::vector<std::size_t> order(examples.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  Rng rng(config_.seed, "oaa/shuffle");
-  for (unsigned pass = 0; pass < config_.passes; ++pass) {
-    std::shuffle(order.begin(), order.end(), rng);
-    for (std::size_t idx : order) {
-      learn_one(examples[idx].features, examples[idx].label);
-    }
-  }
-}
-
-std::string OaaClassifier::predict(const FeatureVector& features) const {
-  oaa_instruments().predictions.inc();
-  return detail::oaa_argmax(table_, labels_, features);
-}
-
-std::vector<std::pair<std::string, float>> OaaClassifier::scores(
-    const FeatureVector& features) const {
-  oaa_instruments().predictions.inc();
-  return detail::oaa_scores(table_, labels_, features);
-}
-
-void OaaClassifier::sync_occupancy_gauges() const {
-  auto& instruments = oaa_instruments();
-  instruments.used_slots.set(static_cast<double>(table_.occupancy()));
-  instruments.total_slots.set(static_cast<double>(table_.slots()));
-}
-
-void OaaClassifier::reset() {
-  table_ = detail::WeightTable(config_.bits);
-  labels_ = LabelSpace{};
-  update_count_ = 0;
-}
-
-std::string OaaClassifier::to_binary() const {
-  return seal_snapshot(kOaaMagic, kLearnerVersion,
-                       learner_payload(config_, update_count_, labels_,
-                                       table_.raw()));
-}
-
-OaaClassifier OaaClassifier::from_binary(std::string_view bytes) {
-  const Snapshot snap =
-      open_snapshot(bytes, kOaaMagic, kLearnerVersion, kLearnerVersion);
-  LearnerParts parts = parse_learner_payload(snap.payload, "OAA model");
-  OaaClassifier model(parts.config);
-  model.update_count_ = parts.update_count;
-  model.labels_ = std::move(parts.labels);
-  model.table_.set_raw(std::move(parts.weights));
-  return model;
-}
-
-// ---------------------------------------------------------------------------
-// CsoaaClassifier
-// ---------------------------------------------------------------------------
-
-CsoaaClassifier::CsoaaClassifier(OnlineLearnerConfig config)
-    : config_(config), table_(config.bits) {}
-
-float CsoaaClassifier::next_learning_rate() {
-  return decayed_learning_rate(config_.learning_rate, config_.power_t,
-                               update_count_++);
-}
-
-void CsoaaClassifier::learn_one(const FeatureVector& features,
-                                const std::vector<std::string>& labels) {
-  std::vector<std::uint32_t> present;
-  present.reserve(labels.size());
-  for (const auto& label : labels) present.push_back(labels_.intern(label));
-
-  const float lr = next_learning_rate();
-  for (std::uint32_t c = 0; c < labels_.size(); ++c) {
-    const bool is_present =
-        std::find(present.begin(), present.end(), c) != present.end();
-    // Regress the class score toward the example's cost: 0 when the package
-    // is present in the sample, 1 when absent (paper §III-C).
-    const float cost = is_present ? 0.0f : 1.0f;
-    const float prediction = table_.score(features, c);
-    const float gradient = prediction - cost;
-    // Importance-weight the rare "present" side so 2-5 positives are not
-    // drowned out by ~80 negatives.
-    const float importance = is_present ? 4.0f : 1.0f;
-    table_.update(features, c, -lr * importance * gradient, config_.l2);
-  }
-  auto& instruments = csoaa_instruments();
-  instruments.updates.inc();
-  instruments.used_slots.set(static_cast<double>(table_.occupancy()));
-  instruments.total_slots.set(static_cast<double>(table_.slots()));
-}
-
-void CsoaaClassifier::train(const std::vector<MultiExample>& examples) {
   for (const auto& ex : examples) {
     for (const auto& label : ex.labels) labels_.intern(label);
   }
+
   std::vector<std::size_t> order(examples.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  Rng rng(config_.seed, "csoaa/shuffle");
+  // The shuffle stream is named per reduction; renaming it would change
+  // the weights every existing training run produces.
+  Rng rng(config_.seed,
+          reduction_ == Reduction::kOaa ? "oaa/shuffle" : "csoaa/shuffle");
   for (unsigned pass = 0; pass < config_.passes; ++pass) {
     std::shuffle(order.begin(), order.end(), rng);
     for (std::size_t idx : order) {
@@ -399,41 +281,79 @@ void CsoaaClassifier::train(const std::vector<MultiExample>& examples) {
   }
 }
 
-std::vector<std::pair<std::string, float>> CsoaaClassifier::costs(
+std::uint32_t OnlineLearner::argmax(const FeatureVector& features) const {
+  std::uint32_t best = 0;
+  float best_score = table_.score(features, 0);
+  for (std::uint32_t c = 1; c < labels_.size(); ++c) {
+    const float s = table_.score(features, c);
+    if (s > best_score) {
+      best_score = s;
+      best = c;
+    }
+  }
+  return best;
+}
+
+std::vector<std::pair<std::string, float>> OnlineLearner::rank(
     const FeatureVector& features) const {
-  csoaa_instruments().predictions.inc();
-  return detail::csoaa_costs(table_, labels_, features);
+  const float sign = reduction_ == Reduction::kOaa ? 1.0f : -1.0f;
+  std::vector<std::pair<std::string, float>> out;
+  out.reserve(labels_.size());
+  for (std::uint32_t c = 0; c < labels_.size(); ++c) {
+    out.emplace_back(labels_.name(c), sign * table_.score(features, c));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.second > b.second; });
+  return out;
 }
 
-std::vector<std::string> CsoaaClassifier::predict_top_n(
-    const FeatureVector& features, std::size_t n) const {
-  csoaa_instruments().predictions.inc();
-  return detail::csoaa_top_n(table_, labels_, features, n);
+std::vector<std::string> OnlineLearner::predict(const FeatureVector& features,
+                                                std::size_t n) const {
+  instruments_for(reduction_).predictions.inc();
+  if (reduction_ == Reduction::kOaa) {
+    if (labels_.size() == 0) return {std::string()};
+    return {labels_.name(argmax(features))};
+  }
+  auto ranked = rank(features);
+  std::vector<std::string> out;
+  out.reserve(std::min(n, ranked.size()));
+  for (std::size_t i = 0; i < ranked.size() && i < n; ++i) {
+    out.push_back(std::move(ranked[i].first));
+  }
+  return out;
 }
 
-void CsoaaClassifier::sync_occupancy_gauges() const {
-  auto& instruments = csoaa_instruments();
+std::vector<std::pair<std::string, float>> OnlineLearner::ranked(
+    const FeatureVector& features) const {
+  instruments_for(reduction_).predictions.inc();
+  return rank(features);
+}
+
+void OnlineLearner::sync_occupancy_gauges() const {
+  auto& instruments = instruments_for(reduction_);
   instruments.used_slots.set(static_cast<double>(table_.occupancy()));
   instruments.total_slots.set(static_cast<double>(table_.slots()));
 }
 
-void CsoaaClassifier::reset() {
+void OnlineLearner::reset() {
   table_ = detail::WeightTable(config_.bits);
   labels_ = LabelSpace{};
   update_count_ = 0;
 }
 
-std::string CsoaaClassifier::to_binary() const {
-  return seal_snapshot(kCsoaaMagic, kLearnerVersion,
-                       learner_payload(config_, update_count_, labels_,
-                                       table_.raw()));
+std::string OnlineLearner::to_binary() const {
+  return seal_snapshot(
+      magic_of(reduction_), kLearnerVersion,
+      learner_payload(config_, update_count_, labels_, table_.raw()));
 }
 
-CsoaaClassifier CsoaaClassifier::from_binary(std::string_view bytes) {
-  const Snapshot snap =
-      open_snapshot(bytes, kCsoaaMagic, kLearnerVersion, kLearnerVersion);
-  LearnerParts parts = parse_learner_payload(snap.payload, "CSOAA model");
-  CsoaaClassifier model(parts.config);
+OnlineLearner OnlineLearner::from_binary(std::string_view bytes,
+                                         Reduction reduction) {
+  const Snapshot snap = open_snapshot(bytes, magic_of(reduction),
+                                      kLearnerVersion, kLearnerVersion);
+  LearnerParts parts = parse_learner_payload(
+      snap.payload, reduction == Reduction::kOaa ? "OAA model" : "CSOAA model");
+  OnlineLearner model(reduction, parts.config);
   model.update_count_ = parts.update_count;
   model.labels_ = std::move(parts.labels);
   model.table_.set_raw(std::move(parts.weights));

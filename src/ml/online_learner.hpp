@@ -1,13 +1,15 @@
-// Vowpal-Wabbit-style online multiclass learners (paper §III-C).
+// Vowpal-Wabbit-style online multiclass learner (paper §III-C).
 //
 // A single shared weight table holds every class's weights: the slot for
 // feature f under class c is a cheap mix of the feature's hashed index and
 // the class id, exactly the trick VW uses for its one-against-all (OAA)
-// reductions. Training is sparse gradient descent on a hinge loss.
+// reductions. Training is sparse gradient descent.
 //
-// Two reductions are provided, matching the paper's usage:
-//   * OaaClassifier    — single-label multiclass (VW --oaa);
-//   * CsoaaClassifier  — cost-sensitive one-against-all for multi-label
+// One ml::OnlineLearner serves both of the paper's reductions; they differ
+// only in the update rule and in how a prediction reads the scores:
+//   * Reduction::kOaa   — single-label multiclass (VW --oaa): hinge-loss
+//     steps, prediction is the argmax class;
+//   * Reduction::kCsoaa — cost-sensitive one-against-all for multi-label
 //     changesets (VW --csoaa): each class's scorer regresses toward cost 0
 //     (label present) or 1 (absent); prediction returns the n lowest-cost
 //     labels.
@@ -15,15 +17,20 @@
 // Both support incremental ("online") training: new labels register classes
 // on the fly and existing models keep learning from new examples without a
 // restart — the capability that distinguishes Praxi from DeltaSherlock.
+// The frozen form a model snapshot serves is simply a `const` copy of the
+// learner (core/model_snapshot.hpp), so live and frozen predictions run the
+// same code.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "ml/features.hpp"
 
 namespace praxi::ml {
@@ -48,15 +55,9 @@ class LabelSpace {
   std::uint32_t size() const { return static_cast<std::uint32_t>(names_.size()); }
   const std::vector<std::string>& names() const { return names_; }
 
-  /// Monotone counter bumped every time intern() registers a NEW label.
-  /// Process-local (not serialized): snapshot consumers compare versions to
-  /// tell whether the label space grew between two epochs.
-  std::uint64_t version() const { return version_; }
-
  private:
   std::unordered_map<std::string, std::uint32_t> ids_;
   std::vector<std::string> names_;
-  std::uint64_t version_ = 0;
 };
 
 namespace detail {
@@ -96,111 +97,45 @@ class WeightTable {
   std::size_t nonzero_ = 0;
 };
 
-// Shared prediction kernels over a (table, labels) pair. The live
-// classifiers below AND the frozen ml::LearnerSnapshot call these same
-// functions, so the snapshot prediction path is bit-identical to the
-// legacy in-place path by construction, not by parallel maintenance.
-
-/// Highest-scoring label; empty string if no class registered yet (OAA).
-std::string oaa_argmax(const WeightTable& table, const LabelSpace& labels,
-                       const FeatureVector& features);
-/// All (label, raw margin) pairs, descending score (OAA).
-std::vector<std::pair<std::string, float>> oaa_scores(
-    const WeightTable& table, const LabelSpace& labels,
-    const FeatureVector& features);
-/// All (label, predicted cost) pairs, ascending cost (CSOAA).
-std::vector<std::pair<std::string, float>> csoaa_costs(
-    const WeightTable& table, const LabelSpace& labels,
-    const FeatureVector& features);
-/// The n labels with the lowest predicted cost (CSOAA).
-std::vector<std::string> csoaa_top_n(const WeightTable& table,
-                                     const LabelSpace& labels,
-                                     const FeatureVector& features,
-                                     std::size_t n);
-
 }  // namespace detail
 
-class LearnerSnapshot;  // ml/model_snapshot.hpp
-
-/// Labeled sparse example (single label).
-struct Example {
-  FeatureVector features;
-  std::string label;
+/// Which VW-style reduction a learner runs.
+enum class Reduction : std::uint8_t {
+  kOaa = 0,    ///< single-label one-against-all
+  kCsoaa = 1,  ///< cost-sensitive OAA (multi-label)
 };
 
-/// Labeled sparse example (label set), for CSOAA.
-struct MultiExample {
+/// Labeled sparse example. OAA takes exactly one label, CSOAA a label set.
+struct Example {
   FeatureVector features;
   std::vector<std::string> labels;
 };
 
-class OaaClassifier {
+class OnlineLearner {
  public:
-  explicit OaaClassifier(OnlineLearnerConfig config = {});
+  explicit OnlineLearner(Reduction reduction, OnlineLearnerConfig config = {});
 
   /// Full training run: `passes` shuffled epochs over `examples`.
   /// Calling this again with more data continues from the current weights
   /// (incremental training); call reset() first for train-from-scratch.
   void train(const std::vector<Example>& examples);
 
-  /// Single online update (one example, one step).
-  void learn_one(const FeatureVector& features, const std::string& label);
-
-  /// Highest-scoring label; empty string if no class registered yet.
-  std::string predict(const FeatureVector& features) const;
-
-  /// All (label, raw margin) pairs, descending score.
-  std::vector<std::pair<std::string, float>> scores(
-      const FeatureVector& features) const;
-
-  void reset();
-
-  const LabelSpace& labels() const { return labels_; }
-  std::size_t size_bytes() const { return table_.size_bytes(); }
-  std::uint64_t update_count() const { return update_count_; }
-
-  /// Deep-copies the current weights + label space into an immutable
-  /// LearnerSnapshot (ml/model_snapshot.hpp) — the copy-on-write half of
-  /// the RCU publish path. Defined in model_snapshot.cpp.
-  LearnerSnapshot freeze() const;
-
-  /// Re-syncs the occupancy gauges (praxi_ml_used_weight_slots /
-  /// praxi_ml_weight_slots) from the table's ground truth. learn_one()
-  /// maintains them incrementally; restore paths (from_binary) and the
-  /// snapshot publisher call this so the gauges can never drift across an
-  /// epoch swap (docs/OBSERVABILITY.md).
-  void sync_occupancy_gauges() const;
-
-  std::string to_binary() const;
-  static OaaClassifier from_binary(std::string_view bytes);
-
- private:
-  float next_learning_rate();
-
-  OnlineLearnerConfig config_;
-  LabelSpace labels_;
-  detail::WeightTable table_;
-  std::uint64_t update_count_ = 0;
-};
-
-class CsoaaClassifier {
- public:
-  explicit CsoaaClassifier(OnlineLearnerConfig config = {});
-
-  /// Full training run over multi-label examples (continues incrementally
-  /// when called repeatedly, like OaaClassifier::train).
-  void train(const std::vector<MultiExample>& examples);
-
+  /// Single online update (one example, one step). Throws
+  /// std::invalid_argument when an OAA example does not carry exactly one
+  /// label.
   void learn_one(const FeatureVector& features,
                  const std::vector<std::string>& labels);
 
-  /// The n labels with the lowest predicted cost (paper: the ground-truth
-  /// application count is provided at evaluation time, §V-B).
-  std::vector<std::string> predict_top_n(const FeatureVector& features,
-                                         std::size_t n) const;
+  /// OAA: the highest-scoring label alone (n is ignored; the label is empty
+  /// while no class is registered). CSOAA: the n labels with the lowest
+  /// predicted cost (paper: the ground-truth application count is provided
+  /// at evaluation time, §V-B).
+  std::vector<std::string> predict(const FeatureVector& features,
+                                   std::size_t n = 1) const;
 
-  /// All (label, predicted cost) pairs, ascending cost.
-  std::vector<std::pair<std::string, float>> costs(
+  /// All (label, confidence) pairs, descending: the raw margin under OAA,
+  /// the negated predicted cost under CSOAA — higher is more likely in both.
+  std::vector<std::pair<std::string, float>> ranked(
       const FeatureVector& features) const;
 
   void reset();
@@ -209,18 +144,29 @@ class CsoaaClassifier {
   std::size_t size_bytes() const { return table_.size_bytes(); }
   std::uint64_t update_count() const { return update_count_; }
 
-  /// See OaaClassifier::freeze(). Defined in model_snapshot.cpp.
-  LearnerSnapshot freeze() const;
-
-  /// See OaaClassifier::sync_occupancy_gauges().
+  /// Re-syncs the occupancy gauges (praxi_ml_used_weight_slots /
+  /// praxi_ml_weight_slots) from the table's ground truth. learn_one()
+  /// maintains them incrementally; the snapshot publisher calls this so the
+  /// gauges can never drift across an epoch swap, restores included
+  /// (docs/OBSERVABILITY.md).
   void sync_occupancy_gauges() const;
 
+  /// POA1 (OAA) or PCS2 (CSOAA) snapshot; the payload layout is shared.
   std::string to_binary() const;
-  static CsoaaClassifier from_binary(std::string_view bytes);
+  /// Opens only `reduction`'s magic: a PCS2 blob is not an OAA model.
+  static OnlineLearner from_binary(std::string_view bytes,
+                                   Reduction reduction);
 
  private:
   float next_learning_rate();
+  /// Index of the highest-scoring class (first wins ties); requires at
+  /// least one registered class.
+  std::uint32_t argmax(const FeatureVector& features) const;
+  /// ranked() without the prediction counter.
+  std::vector<std::pair<std::string, float>> rank(
+      const FeatureVector& features) const;
 
+  Reduction reduction_;
   OnlineLearnerConfig config_;
   LabelSpace labels_;
   detail::WeightTable table_;

@@ -190,6 +190,73 @@ TEST_F(CliTest, ServeRejectsMissingBound) {
   EXPECT_EQ(run_cli({"report", "some-file"}), 2);  // missing --connect
 }
 
+TEST_F(CliTest, ClusterAndReportRoundTripOverLoopback) {
+  ASSERT_EQ(run_cli({"demo-corpus", "--out", dir_, "--apps", "4",
+                     "--samples", "2"}),
+            0);
+  const auto files = corpus_files();
+  ASSERT_GE(files.size(), 4u);
+  const std::string model = dir_ + "/model.praxi";
+  std::vector<std::string> train_args{"train", "--model", model};
+  train_args.insert(train_args.end(), files.begin(), files.end());
+  ASSERT_EQ(run_cli(train_args), 0) << err_.str();
+
+  // Agents reach a cluster's frontend exactly as they reach `serve`.
+  const std::string port_file = dir_ + "/cluster.port";
+  std::ostringstream cluster_out;
+  std::ostringstream cluster_err;
+  int cluster_rc = -1;
+  std::thread cluster([&] {
+    cluster_rc = run({"cluster", "--model", model, "--shards", "2",
+                      "--max-reports", "3", "--port-file", port_file,
+                      "--duration-s", "30"},
+                     cluster_out, cluster_err);
+  });
+
+  std::string port;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    std::ifstream f(port_file);
+    if (f >> port && !port.empty()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_FALSE(port.empty()) << "cluster never wrote its port file";
+
+  const int report_rc =
+      run_cli({"report", "--connect", "127.0.0.1:" + port, files[0],
+               files[1], files[2]});
+  cluster.join();
+
+  EXPECT_EQ(report_rc, 0) << err_.str();
+  EXPECT_NE(out_.str().find("acknowledged 3 reports"), std::string::npos)
+      << out_.str();
+  EXPECT_EQ(cluster_rc, 0) << cluster_err.str();
+  const std::string printed = cluster_out.str();
+  EXPECT_NE(printed.find("2-shard cluster listening on 127.0.0.1:" + port),
+            std::string::npos)
+      << printed;
+  EXPECT_NE(printed.find("processed 3 reports across 2 shards"),
+            std::string::npos)
+      << printed;
+  EXPECT_NE(printed.find("discover"), std::string::npos) << printed;
+  EXPECT_NE(printed.find("[shard "), std::string::npos) << printed;
+}
+
+TEST_F(CliTest, ClusterRejectsMissingBoundAndZeroShards) {
+  const std::string model = dir_ + "/m.praxi";
+  EXPECT_EQ(run_cli({"cluster", "--model", model}), 2);
+  EXPECT_NE(err_.str().find("cluster: a stop bound is required"),
+            std::string::npos)
+      << err_.str();
+  EXPECT_EQ(run_cli({"cluster", "--model", model, "--max-reports", "1",
+                     "--shards", "0"}),
+            2);
+  EXPECT_NE(err_.str().find("--shards must be >= 1"), std::string::npos)
+      << err_.str();
+  EXPECT_EQ(run_cli({"cluster", "--max-reports", "1"}), 2);  // no --model
+}
+
 TEST_F(CliTest, PredictRejectsCorruptModel) {
   const std::string bogus = dir_ + "/bogus.praxi";
   {

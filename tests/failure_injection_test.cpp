@@ -4,6 +4,8 @@
 // a crash or a silently wrong model.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/serialize.hpp"
 #include "core/praxi.hpp"
 #include "core/tagset_store.hpp"
@@ -52,8 +54,10 @@ TEST(FailureInjection, HeaderBitFlipRejected) {
 
 TEST(FailureInjection, EmptyInputRejectedEverywhere) {
   EXPECT_THROW(core::Praxi::from_binary(""), SerializeError);
-  EXPECT_THROW(ml::OaaClassifier::from_binary(""), SerializeError);
-  EXPECT_THROW(ml::CsoaaClassifier::from_binary(""), SerializeError);
+  EXPECT_THROW(ml::OnlineLearner::from_binary("", ml::Reduction::kOaa),
+               SerializeError);
+  EXPECT_THROW(ml::OnlineLearner::from_binary("", ml::Reduction::kCsoaa),
+               SerializeError);
   EXPECT_THROW(ml::Word2Vec::from_binary(""), SerializeError);
   EXPECT_THROW(ml::RbfSvmOva::from_binary(""), SerializeError);
   EXPECT_THROW(fs::Changeset::from_binary(""), SerializeError);
@@ -77,24 +81,80 @@ std::string hostile_oaa_blob(std::uint32_t bits, std::uint64_t weight_count) {
   return seal_snapshot(0x504f4131U /* "POA1" */, 1, w.take());
 }
 
+ml::OnlineLearner load_oaa(std::string_view bytes) {
+  return ml::OnlineLearner::from_binary(bytes, ml::Reduction::kOaa);
+}
+
+/// A Praxi PRX1 model with a caller-chosen mode byte, header bits and inner
+/// learner blob, sealed into a VALID envelope so the loader's cross-checks
+/// between header and inner blob are what decide.
+std::string prx1_blob(core::LabelMode mode, std::uint32_t header_bits,
+                      const std::string& inner) {
+  BinaryWriter w;
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(mode));
+  w.put<std::uint64_t>(25);  // columbus top_k
+  w.put<std::uint32_t>(2);   // columbus min_frequency
+  w.put<std::uint64_t>(3);   // columbus min_tag_length
+  w.put<std::uint32_t>(header_bits);
+  w.put<std::uint8_t>(1);    // trained
+  w.put_string(inner);
+  return seal_snapshot(0x50525831U /* "PRX1" */, 1, w.take());
+}
+
+std::string learner_blob(ml::Reduction reduction, unsigned bits) {
+  ml::OnlineLearnerConfig config;
+  config.bits = bits;
+  ml::OnlineLearner learner(reduction, config);
+  learner.learn_one({{1, 1.0f}}, {"nginx"});
+  return learner.to_binary();
+}
+
+TEST(FailureInjection, PraxiInnerLearnerMustMatchMode) {
+  const std::string oaa = learner_blob(ml::Reduction::kOaa, 8);
+  const std::string csoaa = learner_blob(ml::Reduction::kCsoaa, 8);
+  // Control: each inner blob loads under its own mode.
+  EXPECT_NO_THROW(core::Praxi::from_binary(
+      prx1_blob(core::LabelMode::kSingleLabel, 8, oaa)));
+  EXPECT_NO_THROW(core::Praxi::from_binary(
+      prx1_blob(core::LabelMode::kMultiLabel, 8, csoaa)));
+  // A PCS2 learner under the single-label mode byte, and the reverse.
+  EXPECT_THROW(core::Praxi::from_binary(
+                   prx1_blob(core::LabelMode::kSingleLabel, 8, csoaa)),
+               SerializeError);
+  EXPECT_THROW(core::Praxi::from_binary(
+                   prx1_blob(core::LabelMode::kMultiLabel, 8, oaa)),
+               SerializeError);
+}
+
+TEST(FailureInjection, PraxiInnerLearnerBitsMustMatchHeader) {
+  // The feature hasher is built from the header bits and the weight table
+  // from the inner blob's; a disagreement must not load.
+  for (const auto& [mode, reduction] :
+       {std::pair{core::LabelMode::kSingleLabel, ml::Reduction::kOaa},
+        std::pair{core::LabelMode::kMultiLabel, ml::Reduction::kCsoaa}}) {
+    const std::string inner = learner_blob(reduction, 8);
+    EXPECT_THROW(core::Praxi::from_binary(prx1_blob(mode, 9, inner)),
+                 SerializeError);
+    EXPECT_THROW(core::Praxi::from_binary(prx1_blob(mode, 7, inner)),
+                 SerializeError);
+  }
+}
+
 TEST(FailureInjection, HostileVectorLengthRejected) {
   // A checksummed-valid OAA snapshot whose weight-vector length field is
   // absurd must not trigger a giant allocation or a crash.
-  EXPECT_THROW(ml::OaaClassifier::from_binary(hostile_oaa_blob(18, 1ull << 62)),
-               SerializeError);
+  EXPECT_THROW(load_oaa(hostile_oaa_blob(18, 1ull << 62)), SerializeError);
 }
 
 TEST(FailureInjection, HostileBitsRejectedBeforeAllocation) {
   // bits >= 31 would UB-shift and bits like 30 would demand a 4 GiB table;
   // both must be rejected by parsing alone, before any table is built.
   for (std::uint32_t bits : {0u, 31u, 32u, 64u, 0xFFFFFFFFu}) {
-    EXPECT_THROW(ml::OaaClassifier::from_binary(hostile_oaa_blob(bits, 0)),
-                 SerializeError)
+    EXPECT_THROW(load_oaa(hostile_oaa_blob(bits, 0)), SerializeError)
         << "bits=" << bits;
   }
   // In-range bits whose declared table does not match the stored weights.
-  EXPECT_THROW(ml::OaaClassifier::from_binary(hostile_oaa_blob(12, 0)),
-               SerializeError);
+  EXPECT_THROW(load_oaa(hostile_oaa_blob(12, 0)), SerializeError);
 }
 
 TEST(FailureInjection, WrongArtifactTypeRejected) {

@@ -99,18 +99,19 @@ std::vector<Artifact> all_artifacts() {
 
   ml::OnlineLearnerConfig learner_config;
   learner_config.bits = 8;
-  ml::OaaClassifier oaa(learner_config);
-  oaa.learn_one({{1, 1.0f}, {7, 0.5f}}, "nginx");
-  oaa.learn_one({{2, 1.0f}, {9, 0.5f}}, "redis");
-  artifacts.push_back(
-      {"oaa", oaa.to_binary(),
-       [](std::string_view b) { ml::OaaClassifier::from_binary(b); }});
+  ml::OnlineLearner oaa(ml::Reduction::kOaa, learner_config);
+  oaa.learn_one({{1, 1.0f}, {7, 0.5f}}, {"nginx"});
+  oaa.learn_one({{2, 1.0f}, {9, 0.5f}}, {"redis"});
+  artifacts.push_back({"oaa", oaa.to_binary(), [](std::string_view b) {
+                         ml::OnlineLearner::from_binary(b, ml::Reduction::kOaa);
+                       }});
 
-  ml::CsoaaClassifier csoaa(learner_config);
+  ml::OnlineLearner csoaa(ml::Reduction::kCsoaa, learner_config);
   csoaa.learn_one({{1, 1.0f}, {7, 0.5f}}, {"nginx", "redis"});
-  artifacts.push_back(
-      {"csoaa", csoaa.to_binary(),
-       [](std::string_view b) { ml::CsoaaClassifier::from_binary(b); }});
+  artifacts.push_back({"csoaa", csoaa.to_binary(), [](std::string_view b) {
+                         ml::OnlineLearner::from_binary(b,
+                                                        ml::Reduction::kCsoaa);
+                       }});
 
   artifacts.push_back(
       {"tagset", tiny_tagset().to_binary(),
@@ -244,24 +245,26 @@ TEST(FuzzRegression, OaaRejectsWeightTableBitsAboveThirty) {
   // POA1: bits=31 once shifted 1<<31 into signed UB before any bound check.
   ml::OnlineLearnerConfig config;
   config.bits = 8;
-  ml::OaaClassifier oaa(config);
-  oaa.learn_one({{1, 1.0f}}, "nginx");
+  ml::OnlineLearner oaa(ml::Reduction::kOaa, config);
+  oaa.learn_one({{1, 1.0f}}, {"nginx"});
   const auto bad = reseal_mutated(oaa.to_binary(), [](std::string& p) {
     overwrite<std::uint32_t>(p, 0, 31);
   });
-  EXPECT_THROW(ml::OaaClassifier::from_binary(bad), SerializeError);
+  EXPECT_THROW(ml::OnlineLearner::from_binary(bad, ml::Reduction::kOaa),
+               SerializeError);
 }
 
 TEST(FuzzRegression, CsoaaRejectsZeroWeightTableBits) {
   // PCS2: bits=0 made the weight table a single slot every hash hit.
   ml::OnlineLearnerConfig config;
   config.bits = 8;
-  ml::CsoaaClassifier csoaa(config);
+  ml::OnlineLearner csoaa(ml::Reduction::kCsoaa, config);
   csoaa.learn_one({{1, 1.0f}}, {"nginx"});
   const auto bad = reseal_mutated(csoaa.to_binary(), [](std::string& p) {
     overwrite<std::uint32_t>(p, 0, 0);
   });
-  EXPECT_THROW(ml::CsoaaClassifier::from_binary(bad), SerializeError);
+  EXPECT_THROW(ml::OnlineLearner::from_binary(bad, ml::Reduction::kCsoaa),
+               SerializeError);
 }
 
 TEST(FuzzRegression, ChangesetRejectsHostileRecordCount) {

@@ -83,9 +83,10 @@ And the serve-while-learn invariant from the snapshot-API PR
 (docs/API.md, docs/CONCURRENCY.md):
 
   weight-table-mutation
-                   ml::detail::WeightTable belongs to the learner and the
-                   snapshot publisher alone: predict paths read immutable
-                   ModelSnapshots, so a WeightTable reference (or an
+                   ml::detail::WeightTable belongs to ml::OnlineLearner
+                   alone (src/ml/online_learner.*): predict paths read
+                   immutable ModelSnapshots, which hold a `const` copy of
+                   the learner, so a WeightTable reference (or an
                    .update()/.set_raw() call on a table) anywhere else in
                    src/ would reopen the torn-read window the RCU snapshot
                    design closed. Escape hatch:
@@ -175,10 +176,9 @@ COLUMBUS_ALLOC_RE = re.compile(
     r"(?<![\w_])tokenize\s*\(|(?<![\w_:.])split\s*\(")
 
 # The only translation units allowed to touch ml::detail::WeightTable: the
-# learner that trains it and the snapshot publisher that freezes it
-# (docs/API.md). Everyone else predicts through immutable ModelSnapshots.
-WEIGHT_TABLE_EXEMPT = {"src/ml/online_learner.hpp", "src/ml/online_learner.cpp",
-                       "src/ml/model_snapshot.hpp", "src/ml/model_snapshot.cpp"}
+# one learner that owns it (docs/API.md). Snapshots hold a `const` copy of
+# that learner, and everyone else predicts through them.
+WEIGHT_TABLE_EXEMPT = {"src/ml/online_learner.hpp", "src/ml/online_learner.cpp"}
 WEIGHT_TABLE_RE = re.compile(r"\bWeightTable\b")
 WEIGHT_TABLE_MUTATE_RE = re.compile(
     r"\w*[tT]able\w*\s*\.\s*(?:update|set_raw)\s*\(")
@@ -281,7 +281,7 @@ def check_file(root: pathlib.Path, path: pathlib.Path) -> list[Violation]:
 
     if rel not in WEIGHT_TABLE_EXEMPT:
         weight_table_message = (
-            "WeightTable mutation outside the learner/snapshot publisher; "
+            "WeightTable mutation outside ml::OnlineLearner; "
             "predict through an immutable ModelSnapshot (docs/API.md) or "
             "annotate: praxi-lint: allow(weight-table-mutation)")
         scan("weight-table-mutation", WEIGHT_TABLE_RE, weight_table_message)
