@@ -76,7 +76,7 @@ int usage(std::ostream& err) {
          "  cluster --model M [--shards N] (--max-reports N |\n"
          "        --duration-s S) [--port P] [--port-file F]\n"
          "        [--queue-bound N] [--threads N] [--snapshot-every N]\n"
-         "        [--wal-root D] [--merge-every N]\n"
+         "        [--wal-root D]\n"
          "  report --connect HOST:PORT [--agent ID] [--timeout-ms N]\n"
          "        FILE...\n"
          "--threads: batch-engine workers (0 = all hardware threads,\n"
@@ -429,8 +429,6 @@ int cmd_cluster(const Options& options, std::ostream& out, std::ostream& err) {
   config.server.transport.queue_bound = std::stoul(options.get(
       "queue-bound", std::to_string(config.server.transport.queue_bound)));
   config.wal_root = options.get("wal-root", "");
-  config.merge_every =
-      std::stoul(options.get("merge-every", std::to_string(config.merge_every)));
   // Constructing the router replays every shard's WAL (when --wal-root is
   // set) strictly BEFORE the frontend below starts accepting frames, the
   // same ordering contract as `serve` (docs/DURABILITY.md).

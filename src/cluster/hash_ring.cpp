@@ -9,29 +9,36 @@
 
 namespace praxi::cluster {
 
-HashRing::HashRing(std::size_t shards, HashRingConfig config)
-    : config_(config) {
-  if (config_.virtual_nodes == 0) {
-    throw std::invalid_argument("HashRing: virtual_nodes must be >= 1");
-  }
+namespace {
+
+/// Ring points projected per shard. More points flatten the arc-length
+/// distribution (imbalance shrinks roughly with 1/sqrt(points)) at the
+/// cost of a larger sorted point table.
+constexpr std::size_t kVirtualNodes = 128;
+/// Hash seed for point placement and key lookup. Fixed, so every router in
+/// a fleet agrees by construction.
+constexpr std::uint64_t kSeed = 0x50525849ULL;  // "PRXI"
+
+std::uint64_t point_hash(std::uint32_t shard, std::size_t vnode) {
+  // The point's identity is textual so the placement is stable across
+  // platforms and trivially reproducible in other languages.
+  const std::string key =
+      "shard:" + std::to_string(shard) + ":" + std::to_string(vnode);
+  return murmur3_128_low64(key, kSeed);
+}
+
+}  // namespace
+
+HashRing::HashRing(std::size_t shards) {
   for (std::size_t s = 0; s < shards; ++s) {
     add_shard(static_cast<std::uint32_t>(s));
   }
 }
 
-std::uint64_t HashRing::point_hash(std::uint32_t shard,
-                                   std::size_t vnode) const {
-  // The point's identity is textual so the placement is stable across
-  // platforms and trivially reproducible in other languages.
-  const std::string key =
-      "shard:" + std::to_string(shard) + ":" + std::to_string(vnode);
-  return murmur3_128_low64(key, config_.seed);
-}
-
 void HashRing::add_shard(std::uint32_t shard) {
   if (!shards_.insert(shard).second) return;  // already a member
-  points_.reserve(points_.size() + config_.virtual_nodes);
-  for (std::size_t v = 0; v < config_.virtual_nodes; ++v) {
+  points_.reserve(points_.size() + kVirtualNodes);
+  for (std::size_t v = 0; v < kVirtualNodes; ++v) {
     points_.emplace_back(point_hash(shard, v), shard);
   }
   std::sort(points_.begin(), points_.end());
@@ -50,7 +57,7 @@ std::uint32_t HashRing::shard_for(std::string_view key) const {
   if (points_.empty()) {
     throw std::logic_error("HashRing: shard_for on an empty ring");
   }
-  const std::uint64_t h = murmur3_128_low64(key, config_.seed);
+  const std::uint64_t h = murmur3_128_low64(key, kSeed);
   // Clockwise successor: first point with hash >= h, wrapping to the
   // smallest point past the top of the ring.
   auto it = std::lower_bound(

@@ -6,15 +6,16 @@
 // keyed by agent_id — so the only routing requirement is that ONE shard
 // owns each agent at a time and that ownership barely moves when the shard
 // set changes. A consistent-hash ring gives both: each shard projects
-// `virtual_nodes` points onto a 64-bit ring, a key is owned by the first
+// 128 virtual-node points onto a 64-bit ring, a key is owned by the first
 // point at or clockwise after its hash, and adding (removing) shard S only
 // moves the keys that land on (fall off) S's points — roughly 1/N of the
 // space — while every other agent's shard, and therefore its dedup state,
 // stays put.
 //
 // The ring is deterministic: point placement depends only on (shard id,
-// virtual node index, seed), never on insertion order, so every router in a
-// fleet computes the same ownership from the same membership. The
+// virtual node index) under one fixed seed, never on insertion order, so
+// every router in a fleet computes the same ownership from the same
+// membership. The
 // praxi_lint `ad-hoc-sharding` rule keeps `% shard_count`-style mappings —
 // which reshuffle nearly every key on membership change — out of the tree.
 #pragma once
@@ -27,20 +28,11 @@
 
 namespace praxi::cluster {
 
-struct HashRingConfig {
-  /// Ring points projected per shard. More points flatten the arc-length
-  /// distribution (imbalance shrinks roughly with 1/sqrt(virtual_nodes))
-  /// at the cost of a larger sorted point table.
-  std::size_t virtual_nodes = 128;
-  /// Hash seed for point placement; all routers in a fleet must agree.
-  std::uint64_t seed = 0x50525849ULL;  // "PRXI"
-};
-
 /// Deterministic consistent-hash ring over uint32 shard ids.
 class HashRing {
  public:
   /// Ring pre-populated with shards 0..shards-1.
-  explicit HashRing(std::size_t shards = 0, HashRingConfig config = {});
+  explicit HashRing(std::size_t shards = 0);
 
   /// Projects `shard`'s virtual nodes onto the ring. Idempotent.
   void add_shard(std::uint32_t shard);
@@ -64,9 +56,6 @@ class HashRing {
   double imbalance() const;
 
  private:
-  std::uint64_t point_hash(std::uint32_t shard, std::size_t vnode) const;
-
-  HashRingConfig config_;
   /// Sorted by hash; ties broken by shard id so ownership is deterministic
   /// even on (astronomically unlikely) point collisions.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> points_;

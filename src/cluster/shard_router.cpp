@@ -1,9 +1,13 @@
 #include "cluster/shard_router.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <deque>
+#include <exception>
+#include <iterator>
 #include <stdexcept>
+
+#include "common/annotations.hpp"
+#include "common/sync.hpp"
 
 namespace praxi::cluster {
 
@@ -55,7 +59,7 @@ class ShardTransport final : public service::Transport {
   void enqueue(std::string wire) PRAXI_EXCLUDES(mutex_) {
     const auto now = std::chrono::steady_clock::now();
     common::LockGuard lock(mutex_);
-    // The worker drains the whole queue every round, so an empty queue
+    // The shard drains the whole queue every round, so an empty queue
     // means this is the round's first frame for this shard.
     if (queue_.empty()) first_routed_at_ = now;
     queue_.push_back(std::move(wire));
@@ -69,7 +73,7 @@ class ShardTransport final : public service::Transport {
     return queue_.size();
   }
 
-  /// Router sweep after the round barrier: hands back every settled frame
+  /// Router sweep after the round's join: hands back every settled frame
   /// and counts the rest as dropped (the upstream wire redelivers them).
   Sweep sweep_round() PRAXI_EXCLUDES(mutex_) {
     common::LockGuard lock(mutex_);
@@ -165,7 +169,7 @@ class ShardTransport final : public service::Transport {
 
 ShardRouter::ShardRouter(const core::Praxi& model, ClusterConfig config)
     : config_(std::move(config)),
-      ring_(config_.shards, config_.ring),
+      ring_(config_.shards),
       model_(model) {
   if (config_.shards == 0) {
     throw std::invalid_argument("ShardRouter: shards must be >= 1");
@@ -179,7 +183,6 @@ ShardRouter::ShardRouter(const core::Praxi& model, ClusterConfig config)
   imbalance_gauge_->set(ring_.imbalance());
 
   shards_.reserve(config_.shards);
-  run_.assign(config_.shards, 0);
   for (std::size_t i = 0; i < config_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->transport = std::make_unique<detail::ShardTransport>(
@@ -187,11 +190,7 @@ ShardRouter::ShardRouter(const core::Praxi& model, ClusterConfig config)
     shard->server = make_server(i);
     shards_.push_back(std::move(shard));
   }
-  // Workers start only after every shard replayed its WAL: no frame can
-  // route before the dedup floors are restored (docs/DURABILITY.md).
-  for (std::size_t i = 0; i < config_.shards; ++i) {
-    shards_[i]->worker = std::thread([this, i] { worker_loop(i); });
-  }
+  if (config_.shards > 1) pool_ = std::make_unique<ThreadPool>(config_.shards);
 }
 
 ShardRouter::~ShardRouter() { close(); }
@@ -206,26 +205,6 @@ std::unique_ptr<service::DiscoveryServer> ShardRouter::make_server(
   service::ServerConfig server_config = config_.server;
   server_config.wal_dir = shard_wal_dir(index);
   return std::make_unique<service::DiscoveryServer>(model_, server_config);
-}
-
-void ShardRouter::worker_loop(std::size_t index) {
-  for (;;) {
-    {
-      common::LockGuard lock(coord_);
-      while (run_[index] == 0 && !stop_) work_cv_.wait(lock);
-      if (run_[index] == 0 && stop_) return;
-      run_[index] = 0;
-    }
-    // No router lock held here: shards classify concurrently, each inside
-    // its own DiscoveryServer (rank kServerState and below).
-    auto discoveries =
-        shards_[index]->server->process(*shards_[index]->transport);
-    {
-      common::LockGuard lock(coord_);
-      shards_[index]->round_discoveries = std::move(discoveries);
-      if (--running_ == 0) done_cv_.notify_all();
-    }
-  }
 }
 
 void ShardRouter::route(std::string wire_bytes) {
@@ -243,41 +222,32 @@ void ShardRouter::route(std::string wire_bytes) {
 
 std::vector<service::Discovery> ShardRouter::process(
     service::Transport& ingress) {
-  if (closed_.load(std::memory_order_acquire)) {
+  if (closed_) {
     throw service::TransportError("ShardRouter: process after close");
   }
   ++round_;
   for (auto& wire : ingress.drain()) route(std::move(wire));
 
-  // Wake exactly the shards with routed work and wait for all of them —
-  // the round barrier. Shards run concurrently on their worker threads.
+  // The fork-join: every shard with routed work runs its own
+  // DiscoveryServer::process() on the pool (inline with one shard).
   std::vector<std::size_t> active;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     if (shards_[i]->transport->queued() > 0) active.push_back(i);
   }
-  if (!active.empty()) {
-    common::LockGuard lock(coord_);
-    for (const std::size_t i : active) run_[i] = 1;
-    running_ += active.size();
-    work_cv_.notify_all();
-    while (running_ > 0) done_cv_.wait(lock);
+  std::vector<std::vector<service::Discovery>> batches(active.size());
+  std::exception_ptr error;
+  try {
+    parallel_for(pool_.get(), active.size(), [&](std::size_t k) {
+      Shard& shard = *shards_[active[k]];
+      batches[k] = shard.server->process(*shard.transport);
+    });
+  } catch (...) {
+    error = std::current_exception();
   }
 
-  std::vector<service::Discovery> discoveries;
-  for (const std::size_t i : active) {
-    std::vector<service::Discovery> batch;
-    {
-      common::LockGuard lock(coord_);
-      batch = std::move(shards_[i]->round_discoveries);
-      shards_[i]->round_discoveries.clear();
-    }
-    discoveries.insert(discoveries.end(),
-                       std::make_move_iterator(batch.begin()),
-                       std::make_move_iterator(batch.end()));
-  }
-
-  // Post-round sweep: settled frames are acknowledged upstream; unsettled
-  // ones (malformed, held-window overflow) are dropped for the
+  // Post-round sweep, also after a shard threw: settled frames are
+  // acknowledged upstream; unsettled ones (malformed, held-window
+  // overflow, a failed shard's whole batch) are dropped for the
   // at-least-once wire to redeliver.
   for (const std::size_t i : active) {
     const auto sweep = shards_[i]->transport->sweep_round();
@@ -285,9 +255,13 @@ std::vector<service::Discovery> ShardRouter::process(
     settled_frames_.fetch_add(sweep.settled.size(), std::memory_order_relaxed);
     for (const auto& wire : sweep.settled) ingress.ack(wire);
   }
+  if (error) std::rethrow_exception(error);
 
-  if (config_.merge_every != 0 && round_ % config_.merge_every == 0) {
-    merge_now();
+  std::vector<service::Discovery> discoveries;
+  for (auto& batch : batches) {
+    discoveries.insert(discoveries.end(),
+                       std::make_move_iterator(batch.begin()),
+                       std::make_move_iterator(batch.end()));
   }
   return discoveries;
 }
@@ -305,17 +279,16 @@ MergedInventory ShardRouter::merge_now() {
       row.applications.insert(applications.begin(), applications.end());
     }
   }
-  merged_ = merged;
   return merged;
 }
 
 void ShardRouter::restart_shard(std::size_t shard) {
-  if (closed_.load(std::memory_order_acquire)) {
+  if (closed_) {
     throw service::TransportError("ShardRouter: restart_shard after close");
   }
   auto& slot = *shards_.at(shard);
-  // Between rounds the worker is parked in worker_loop's wait; the server
-  // is only ever dereferenced inside a round, so swapping it here is safe.
+  // Between rounds no pool task runs; the server is only ever dereferenced
+  // inside a round, so swapping it here is safe.
   slot.server.reset();      // the crash: in-memory dedup state dies
   slot.transport->clear();  // queued frames die with the process, unacked
   slot.server = make_server(shard);  // WAL replay restores settled floors
@@ -324,15 +297,8 @@ void ShardRouter::restart_shard(std::size_t shard) {
 }
 
 void ShardRouter::close() {
-  if (closed_.exchange(true, std::memory_order_acq_rel)) return;
-  {
-    common::LockGuard lock(coord_);
-    stop_ = true;
-    work_cv_.notify_all();
-  }
-  for (auto& shard : shards_) {
-    if (shard->worker.joinable()) shard->worker.join();
-  }
+  closed_ = true;
+  pool_.reset();
 }
 
 service::TransportStats ShardRouter::stats() const {

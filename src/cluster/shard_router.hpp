@@ -16,19 +16,19 @@
 // untouched, so the cluster inherits the single-server durability contract
 // shard by shard (docs/DURABILITY.md).
 //
-// Concurrency model (docs/CONCURRENCY.md): one persistent worker thread
-// per shard, coordinated round-by-round. process() routes the drained
-// ingress batch into the owning shards' queues, wakes exactly the shards
-// with work, and waits for all of them — shards classify concurrently on
-// separate cores, each inside its own DiscoveryServer::process() (rank
-// kServerState) against its own ShardTransport (rank kClusterShardQueue).
-// The router's coordination mutex (rank kClusterRouter, outermost) is only
-// ever held around flag flips, never across shard code. After the barrier
-// the router thread sweeps each shard: the frames it settled this round
-// are acknowledged upstream; the rest (malformed, held-window overflow)
-// are dropped for the at-least-once wire to redeliver — exactly the
-// MessageBus disposition, one layer up. Nothing per report outlives the
-// round.
+// Concurrency model (docs/CONCURRENCY.md): each process() round is one
+// fork-join. The router routes the drained ingress batch into the owning
+// shards' queues, then runs one parallel_for over the shards with work on
+// a ThreadPool it owns (one worker per shard; with one shard the round
+// runs inline). Shards classify concurrently, each inside its own
+// DiscoveryServer::process() (rank kServerState) against its own
+// ShardTransport (rank kClusterShardQueue). After the join the router
+// thread sweeps each shard that ran: the frames it settled this round are
+// acknowledged upstream; the rest (malformed, held-window overflow, or
+// everything of a shard that threw) are dropped for the at-least-once
+// wire to redeliver — exactly the MessageBus disposition, one layer up.
+// Only then does a shard's exception reach the caller. Nothing per report
+// outlives the round.
 #pragma once
 
 #include <atomic>
@@ -38,12 +38,10 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "cluster/hash_ring.hpp"
-#include "common/annotations.hpp"
-#include "common/sync.hpp"
+#include "common/thread_pool.hpp"
 #include "core/praxi.hpp"
 #include "obs/metrics.hpp"
 #include "service/server.hpp"
@@ -58,7 +56,6 @@ class ShardTransport;  // the per-shard queue + settled list (cpp-local)
 struct ClusterConfig {
   /// Shard count; the ring is pre-populated with shards 0..shards-1.
   std::size_t shards = 2;
-  HashRingConfig ring;
   /// Per-shard DiscoveryServer template. `server.wal_dir` is ignored —
   /// shard WAL directories derive from `wal_root` so two shards can never
   /// share a log (docs/DURABILITY.md).
@@ -66,9 +63,6 @@ struct ClusterConfig {
   /// When non-empty, shard i logs to `<wal_root>/shard-<i>` and replays it
   /// on (re)construction. Empty keeps every shard's dedup state in-memory.
   std::string wal_root;
-  /// Refresh the merged inventory every N process() rounds (0 = only on
-  /// explicit merge_now()).
-  std::size_t merge_every = 8;
 };
 
 /// One agent's row in the merged fleet inventory, with cluster attribution:
@@ -96,14 +90,17 @@ class ShardRouter {
   ShardRouter& operator=(const ShardRouter&) = delete;
 
   /// One routing + processing round: drains `ingress`, routes each frame to
-  /// its owning shard, runs every shard with work on its own worker thread,
-  /// then acknowledges settled frames back on `ingress`. Returns this
-  /// round's discoveries (shard-major, arrival order within a shard). Call
-  /// from one thread at a time. Throws TransportError after close().
+  /// its owning shard, runs every shard with work concurrently, then
+  /// acknowledges settled frames back on `ingress`. Returns this round's
+  /// discoveries (shard-major, arrival order within a shard). When a shard
+  /// throws, the sweep still acks every settled frame and drops the rest,
+  /// then the first exception is rethrown. Call from one thread at a time.
+  /// Throws TransportError after close().
   std::vector<service::Discovery> process(service::Transport& ingress);
 
-  /// Stops and joins every shard worker; idempotent. Shard servers stay
-  /// readable (inventory/stats) after close.
+  /// Releases the shard pool's workers; idempotent. Call from the thread
+  /// that calls process(). Shard servers stay readable (inventory/stats)
+  /// after close.
   void close();
 
   /// Cluster-wide totals: routed/settled/rejected frames plus the summed
@@ -111,9 +108,8 @@ class ShardRouter {
   /// current queue depths. Safe to call concurrently.
   service::TransportStats stats() const;
 
-  /// The cached merged inventory (refreshed every merge_every rounds).
-  MergedInventory merged_inventory() const { return merged_; }
-  /// Pulls every shard's inventory now and refreshes the cached merge.
+  /// Pulls every shard's inventory into one fleet view, stamped with the
+  /// current round. Call between rounds.
   MergedInventory merge_now();
 
   /// Simulates a shard crash + restart between rounds: the shard's
@@ -137,13 +133,8 @@ class ShardRouter {
   struct Shard {
     std::unique_ptr<detail::ShardTransport> transport;
     std::unique_ptr<service::DiscoveryServer> server;
-    std::thread worker;
-    /// Written by the worker at round end (under coord_), consumed by the
-    /// router thread after the round barrier.
-    std::vector<service::Discovery> round_discoveries;
   };
 
-  void worker_loop(std::size_t index);
   std::unique_ptr<service::DiscoveryServer> make_server(std::size_t index);
   std::string shard_wal_dir(std::size_t index) const;
   /// Routes one frame into its owning shard's queue.
@@ -153,20 +144,12 @@ class ShardRouter {
   HashRing ring_;
   core::Praxi model_;  ///< pristine copy for shard (re)construction
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// One worker per shard; null with one shard (rounds run inline) and
+  /// after close().
+  std::unique_ptr<ThreadPool> pool_;
 
-  /// Round coordination only (rank kClusterRouter, outermost): guards the
-  /// run flags and the running count; NEVER held while a shard processes.
-  mutable common::Mutex coord_{"cluster_router_coord",
-                               common::LockRank::kClusterRouter};
-  common::CondVar work_cv_;
-  common::CondVar done_cv_;
-  std::vector<std::uint8_t> run_ PRAXI_GUARDED_BY(coord_);
-  std::size_t running_ PRAXI_GUARDED_BY(coord_) = 0;
-  bool stop_ PRAXI_GUARDED_BY(coord_) = false;
-
-  std::atomic<bool> closed_{false};
+  bool closed_ = false;      ///< router thread only
   std::uint64_t round_ = 0;  ///< router thread only
-  MergedInventory merged_;  ///< router thread only
 
   // Lifetime totals (stats(); mirrored into praxi_cluster_* instruments).
   std::atomic<std::uint64_t> routed_frames_{0};

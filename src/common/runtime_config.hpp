@@ -1,23 +1,21 @@
 // Shared runtime knobs embedded by every engine-owning configuration
 // (core::PraxiConfig, service::ServerConfig), so thread counts and the
-// metrics gate cannot drift between layers.
+// snapshot cadence cannot drift between layers.
 //
 // Precedence rule (the one documented contract, docs/API.md): the OUTERMOST
 // configured component wins. A RuntimeConfig is applied when its owner is
 // constructed or reconfigured (Praxi::Praxi / Praxi::set_runtime /
 // DiscoveryServer::DiscoveryServer), and the last application is the one in
 // effect — so a DiscoveryServer's ServerConfig::runtime overrides whatever
-// the wrapped model was built with, and a praxi-cli --threads/--metrics
-// flag overrides both.
+// the wrapped model was built with, and a praxi-cli --threads or
+// --snapshot-every flag overrides both. The metrics gate is not a runtime
+// knob: hosts call obs::MetricsRegistry::set_enabled themselves.
 //
 // Thread-compatibility contract (docs/CONCURRENCY.md): this is a plain
 // value type with no lock of its own — it carries no mutable shared state.
 // Apply it at configuration time, from one thread, before the configured
-// component is shared; the components it configures (ThreadPool,
-// MetricsRegistry) are themselves internally synchronized on the annotated
-// primitives in common/sync.hpp. Fields read on hot paths after that
-// (metrics_enabled) are copied into atomics by their owners, never read
-// back from this struct concurrently.
+// component is shared; the ThreadPool it configures is itself internally
+// synchronized on the annotated primitives in common/sync.hpp.
 #pragma once
 
 #include <cstddef>
@@ -29,13 +27,6 @@ struct RuntimeConfig {
   /// 1 = the sequential path (no pool is created). Batch results are
   /// identical for every value — threading only changes wall-clock time.
   std::size_t num_threads = 1;
-
-  /// Gates the process-global obs::MetricsRegistry: applying a config with
-  /// metrics_enabled == false turns every instrument into a no-op (and
-  /// freezes registry-backed views such as DiscoveryServer ingest stats).
-  /// Enabled by default — the instruments cost one relaxed atomic op per
-  /// event (bench/micro_metrics measures the end-to-end overhead at <2%).
-  bool metrics_enabled = true;
 
   /// How often online learning publishes a fresh prediction snapshot
   /// (core/model_snapshot.hpp): a new epoch is published after every N

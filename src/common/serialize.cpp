@@ -8,12 +8,8 @@
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 
-#if defined(_WIN32)
-#include <cstdio>
-#else
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 namespace praxi {
 
@@ -115,27 +111,6 @@ void write_file(const std::string& path, std::string_view bytes) {
   if (!out) throw SerializeError("short write: " + path);
 }
 
-#if defined(_WIN32)
-
-// Portability fallback: no fsync/atomic-rename guarantees, but the same
-// temp-then-rename shape so a failed write never truncates the target.
-void write_file_atomic(const std::string& path, std::string_view bytes) {
-  obs::ScopedTimer timer(write_seconds_histogram());
-  const std::string tmp = path + ".tmp.praxi";
-  write_file(tmp, bytes);
-  if (testhooks::simulate_crash_before_rename) {
-    throw SerializeError("simulated crash before rename: " + path);
-  }
-  std::remove(path.c_str());
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw SerializeError("rename failed: " + tmp + " -> " + path);
-  }
-  write_bytes_counter().inc(bytes.size());
-}
-
-#else
-
 void write_file_atomic(const std::string& path, std::string_view bytes) {
   obs::ScopedTimer timer(write_seconds_histogram());
   // Temp file must live in the target's directory: rename(2) is only atomic
@@ -189,8 +164,6 @@ void write_file_atomic(const std::string& path, std::string_view bytes) {
   }
   write_bytes_counter().inc(bytes.size());
 }
-
-#endif
 
 std::string read_file(const std::string& path) {
   obs::ScopedTimer timer(read_seconds_histogram());

@@ -35,13 +35,6 @@ namespace praxi::common {
 /// of rank R may only acquire locks of rank strictly greater than R.
 /// Values are spaced so future locks can slot between existing layers.
 enum class LockRank : int {
-  /// ShardRouter round coordination (cluster/shard_router.hpp): the flags
-  /// and condition variables that hand a processing round to the shard
-  /// worker threads. Outermost of the whole hierarchy — a worker releases
-  /// it BEFORE running its shard's process() (which acquires kServerState
-  /// and everything beneath), so it is only ever held around flag flips,
-  /// never across component code.
-  kClusterRouter = 5,
   /// DiscoveryServer ingest state: dedup trackers, inventory, per-agent
   /// counters. Outermost — held across a whole process()/learn_feedback()
   /// call while every deeper layer (store, pool, registry, WAL, transport)
@@ -50,7 +43,8 @@ enum class LockRank : int {
   /// TagsetStore contents. Acquired under kServerState at settle time.
   kTagsetStore = 20,
   /// ThreadPool queue. Acquired by submit()/parallel_for under
-  /// kServerState (batch classification inside process()).
+  /// kServerState (batch classification inside process()) and, with no
+  /// lock held, by ShardRouter's per-round fork-join over its shards.
   kThreadPool = 30,
   /// Praxi model-snapshot publisher (core/model_snapshot.hpp): serializes
   /// freeze-and-swap between concurrent publishers. Acquired under

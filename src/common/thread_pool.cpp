@@ -43,7 +43,7 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
   const std::size_t count = resolve_threads(num_threads);
   workers_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this] { run_worker(); });
   }
 }
 
@@ -65,7 +65,7 @@ void ThreadPool::enqueue(std::function<void()> job) {
   cv_.notify_one();
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::run_worker() {
   for (;;) {
     std::function<void()> job;
     {

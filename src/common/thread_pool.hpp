@@ -54,12 +54,13 @@ class ThreadPool {
 
  private:
   void enqueue(std::function<void()> job) PRAXI_EXCLUDES(mutex_);
-  void worker_loop() PRAXI_EXCLUDES(mutex_);
+  void run_worker() PRAXI_EXCLUDES(mutex_);
 
   common::Mutex mutex_{"thread_pool", common::LockRank::kThreadPool};
   common::CondVar cv_;
   std::deque<std::function<void()>> queue_ PRAXI_GUARDED_BY(mutex_);
   bool stopping_ PRAXI_GUARDED_BY(mutex_) = false;
+  // praxi-lint: allow(naked-thread: the pool's own workers)
   std::vector<std::thread> workers_;
 };
 

@@ -76,15 +76,22 @@ void check_label_count(LabelMode mode, const columbus::TagSet& tagset) {
 }  // namespace
 
 Praxi::Praxi(PraxiConfig config)
+    : Praxi(config,
+            ml::OnlineLearner(reduction_of(config.mode), config.learner),
+            false) {}
+
+Praxi::Praxi(PraxiConfig config, ml::OnlineLearner learner, bool trained)
     : config_(config),
       columbus_(config.columbus),
       hasher_(config.learner.bits),
-      learner_(reduction_of(config.mode), config.learner) {
+      learner_(std::move(learner)),
+      trained_(trained) {
   if (config_.runtime.num_threads != 1) {
     pool_ = std::make_shared<ThreadPool>(config_.runtime.num_threads);
   }
-  // snapshot() must never observe null: epoch 1 is the (untrained) state at
-  // construction. Predicting through it throws the documented logic_error.
+  // snapshot() must never observe null: epoch 1 is the state at
+  // construction (untrained unless restored). Predicting through an
+  // untrained one throws the documented logic_error.
   publish_snapshot();
 }
 
@@ -157,9 +164,7 @@ void Praxi::set_num_threads(std::size_t num_threads) {
 
 void Praxi::set_runtime(const common::RuntimeConfig& runtime) {
   set_num_threads(runtime.num_threads);
-  config_.runtime.metrics_enabled = runtime.metrics_enabled;
   config_.runtime.snapshot_publish_every = runtime.snapshot_publish_every;
-  obs::MetricsRegistry::global().set_enabled(runtime.metrics_enabled);
 }
 
 columbus::TagSet Praxi::extract_tags(const fs::Changeset& changeset) const {
@@ -313,10 +318,11 @@ Praxi Praxi::from_binary(std::string_view bytes) {
   const std::string inner = r.get_string();
   r.require_end("Praxi model");
 
-  // Parse (and fully validate) the inner learner BEFORE allocating the
-  // outer model's weight table. Opening it by the mode's reduction rejects
-  // an inner blob of the other reduction; the size check rejects a table
-  // whose bits disagree with the header, so hasher and table agree.
+  // Parse (and fully validate) the inner learner, then build the model
+  // around it: one weight table, published once as epoch 1. Opening it by
+  // the mode's reduction rejects an inner blob of the other reduction; the
+  // size check rejects a table whose bits disagree with the header, so
+  // hasher and table agree.
   ml::OnlineLearner learner =
       ml::OnlineLearner::from_binary(inner, reduction_of(config.mode));
   if (learner.size_bytes() !=
@@ -324,14 +330,7 @@ Praxi Praxi::from_binary(std::string_view bytes) {
     throw SerializeError(
         "Praxi model: classifier bits disagree with model header");
   }
-  Praxi model(config);
-  model.learner_ = std::move(learner);
-  model.trained_ = trained;
-  // The learner assignment above bypassed the learn path; publish so
-  // snapshot() serves the restored weights (and the occupancy gauges
-  // re-sync from the restored table).
-  model.publish_snapshot();
-  return model;
+  return Praxi(config, std::move(learner), trained);
 }
 
 }  // namespace praxi::core

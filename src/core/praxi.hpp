@@ -49,7 +49,7 @@ struct PraxiConfig {
   columbus::ColumbusConfig columbus;
   ml::OnlineLearnerConfig learner;
   /// Cross-cutting runtime knobs (worker threads for the batch APIs,
-  /// metrics on/off, snapshot publish cadence). See
+  /// snapshot publish cadence). See
   /// common/runtime_config.hpp for the precedence rule: whoever applies a
   /// RuntimeConfig last wins, and embedding hosts (DiscoveryServer, the
   /// CLI) re-apply theirs after constructing the engine. Batch results are
@@ -170,6 +170,10 @@ class Praxi {
   static Praxi from_binary(std::string_view bytes);
 
  private:
+  /// Builds the model around an already-built learner (from_binary's
+  /// restored weights) and publishes it as epoch 1.
+  Praxi(PraxiConfig config, ml::OnlineLearner learner, bool trained);
+
   /// Freeze + atomic swap under the publish lock; updates the
   /// praxi_ml_snapshot_* instruments and re-syncs the learner occupancy
   /// gauges so they cannot drift across epoch swaps.

@@ -79,6 +79,7 @@ SocketServer::SocketServer(SocketServerConfig config)
       listener_(TcpListener::bind_loopback(config.port)),
       port_(listener_.port()),
       instruments_(std::make_shared<const Instruments>()) {
+  // praxi-lint: allow(naked-thread: blocking accept loop)
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
@@ -107,6 +108,7 @@ void SocketServer::accept_loop() {
     Connection* raw = conn.get();
     open_connections_.fetch_add(1, std::memory_order_relaxed);
     instruments_->connections->add(1.0);
+    // praxi-lint: allow(naked-thread: blocking per-connection reads)
     raw->reader = std::thread([this, raw] { reader_loop(*raw); });
     common::LockGuard lock(connections_mutex_);
     connections_.push_back(std::move(conn));

@@ -78,6 +78,7 @@ class SocketServer final : public service::Transport {
  private:
   struct Connection {
     TcpStream stream;
+    // praxi-lint: allow(naked-thread: blocking per-connection reads)
     std::thread reader;
     std::atomic<bool> done{false};
     bool hello_seen = false;  ///< reader-thread only
@@ -93,6 +94,7 @@ class SocketServer final : public service::Transport {
   SocketServerConfig config_;
   TcpListener listener_;
   std::uint16_t port_ = 0;
+  // praxi-lint: allow(naked-thread: blocking accept loop)
   std::thread accept_thread_;
   std::atomic<bool> stopping_{false};
   std::atomic<bool> closed_{false};

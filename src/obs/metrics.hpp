@@ -16,9 +16,9 @@
 //   * Stable handles. Registered instruments are never deallocated or moved
 //     for the registry's lifetime; references stay valid forever.
 //   * Graceful degradation. set_enabled(false) turns every inc()/set()/
-//     observe() into a no-op without invalidating handles — the knob behind
-//     common::RuntimeConfig::metrics_enabled and the uninstrumented side of
-//     bench/micro_metrics.
+//     observe() into a no-op without invalidating handles — the one
+//     process-wide switch, set by the host (bench/micro_metrics measures
+//     its uninstrumented side with it).
 //   * Naming convention: praxi_<component>_<name>_<unit>, enforced by
 //     tools/praxi_lint.py (metric-naming rule). Counters end in _total;
 //     histograms in _seconds, _bytes, or _count; gauges in a unit suffix

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <system_error>
 #include <utility>
@@ -12,10 +11,8 @@
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 namespace praxi::service {
 
@@ -339,35 +336,22 @@ WriteAheadLog::WriteAheadLog(WalConfig config) : config_(std::move(config)) {
 }
 
 WriteAheadLog::~WriteAheadLog() {
-#if !defined(_WIN32)
   if (fd_ >= 0) ::close(fd_);
-#endif
 }
 
 void WriteAheadLog::open_live(std::uint64_t index, std::size_t existing_bytes) {
-#if !defined(_WIN32)
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
-#endif
   live_index_ = index;
   live_path_ = segment_path(index);
   live_bytes_ = existing_bytes;
-#if !defined(_WIN32)
   fd_ = ::open(live_path_.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
                0644);
   if (fd_ < 0) {
     throw SerializeError("cannot open WAL segment for append: " + live_path_);
   }
-#else
-  // Portability fallback (mirrors write_file_atomic): appends flush but
-  // cannot fsync, so durability is best-effort on this platform.
-  std::ofstream touch(live_path_, std::ios::binary | std::ios::app);
-  if (!touch) {
-    throw SerializeError("cannot open WAL segment for append: " + live_path_);
-  }
-#endif
 }
 
 void WriteAheadLog::append(std::string_view agent_id, std::uint64_t sequence,
@@ -384,7 +368,6 @@ void WriteAheadLog::commit() {
 
 void WriteAheadLog::commit_locked() {
   if (pending_.empty()) return;
-#if !defined(_WIN32)
   const char* p = pending_.data();
   std::size_t left = pending_.size();
   while (left > 0) {
@@ -406,14 +389,6 @@ void WriteAheadLog::commit_locked() {
       throw SerializeError("WAL fsync failed: " + live_path_);
     }
   }
-#else
-  obs::ScopedTimer timer(instruments_->fsync_seconds);
-  std::ofstream out(live_path_, std::ios::binary | std::ios::app);
-  if (!out) throw SerializeError("cannot open WAL segment: " + live_path_);
-  out.write(pending_.data(), static_cast<std::streamsize>(pending_.size()));
-  out.flush();
-  if (!out) throw SerializeError("WAL append failed: " + live_path_);
-#endif
   live_bytes_ += pending_.size();
   instruments_->appended.inc(pending_records_);
   instruments_->segment_bytes.set(static_cast<double>(live_bytes_));

@@ -1,9 +1,10 @@
 // Tests for the sharded discovery cluster (docs/CLUSTER.md): the
 // consistent-hash ring's core guarantees (determinism, balanced
 // distribution, minimal key movement on membership change), the
-// ShardRouter's round contract (routing by ring, ack-after-settle on the
-// ingress, merged inventory with shard/epoch attribution, concurrent socket
-// agents behind one frontend), and
+// ShardRouter's round contract (routing by ring with one or many shards,
+// ack-after-settle on the ingress, merged inventory with shard/epoch
+// attribution, concurrent socket agents behind one frontend, a shard's
+// exception reaching the caller after the sweep), and
 // the cluster fault-matrix case — one shard restarts mid-stream under a
 // lossy wire and the merged outcome still converges to the clean
 // single-server run with zero acknowledged-report loss or duplication.
@@ -15,6 +16,7 @@
 #include <filesystem>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -221,68 +223,125 @@ pkg::Dataset* ShardRouterTest::dataset_ = nullptr;
 core::Praxi* ShardRouterTest::model_ = nullptr;
 
 TEST_F(ShardRouterTest, RoutesByRingSettlesAndMatchesSingleServer) {
+  // Four shards fork-join on the router's pool; one shard runs each round
+  // inline on the caller's thread. Both must equal the single server.
   const auto reports = make_reports(6, 6);
   const auto reference = reference_run(reports);
 
-  ShardRouter router(*model_, cluster_config(4));
-  MessageBus ingress;
-  for (const auto& report : reports) ingress.send(report.to_wire());
+  for (const std::size_t shards : {std::size_t{4}, std::size_t{1}}) {
+    SCOPED_TRACE("shards = " + std::to_string(shards));
+    ShardRouter router(*model_, cluster_config(shards));
+    MessageBus ingress;
+    for (const auto& report : reports) ingress.send(report.to_wire());
 
-  std::vector<DiscoveryKey> discoveries;
-  for (int round = 0; round < 8; ++round) {
+    std::vector<DiscoveryKey> discoveries;
+    for (int round = 0; round < 8; ++round) {
+      collect(router.process(ingress), discoveries);
+    }
+    std::sort(discoveries.begin(), discoveries.end());
+    EXPECT_EQ(discoveries, reference);
+
+    // Every frame settled on exactly the ring-designated shard and was
+    // acknowledged on the ingress it arrived through.
+    std::uint64_t processed_total = 0;
+    for (std::size_t i = 0; i < router.shard_count(); ++i) {
+      processed_total += router.shard(i).processed();
+    }
+    EXPECT_EQ(processed_total, reports.size());
+    for (const auto& report : reports) {
+      EXPECT_TRUE(ingress.acknowledged(report.agent_id, report.sequence))
+          << report.agent_id << "/" << report.sequence;
+      const auto owner = router.shard_for(report.agent_id);
+      const auto inventory = router.shard(owner).inventory();
+      EXPECT_TRUE(inventory.count(report.agent_id))
+          << report.agent_id << " missing from shard " << owner;
+    }
+
+    // Merged inventory: one row per agent, attributed to the owning shard,
+    // applications identical to the single-server fleet view.
+    const MergedInventory merged = router.merge_now();
+    EXPECT_EQ(merged.round, 8u);
+    service::ServerConfig single_config;
+    single_config.runtime.num_threads = 1;
+    service::DiscoveryServer single(*model_, single_config);
+    MessageBus single_bus;
+    for (const auto& report : reports) single_bus.send(report.to_wire());
+    for (int round = 0; round < 4; ++round) single.process(single_bus);
+    const auto single_inventory = single.inventory();
+
+    ASSERT_EQ(merged.agents.size(), single_inventory.size());
+    for (const auto& [agent, row] : merged.agents) {
+      EXPECT_EQ(row.shard, router.shard_for(agent)) << agent;
+      ASSERT_TRUE(single_inventory.count(agent)) << agent;
+      EXPECT_EQ(row.applications, single_inventory.at(agent)) << agent;
+      EXPECT_EQ(row.model_epoch, router.shard(row.shard).model().epoch());
+    }
+
+    const auto stats = router.stats();
+    EXPECT_EQ(stats.sent_frames, reports.size());
+    EXPECT_EQ(stats.acked_frames, reports.size());
+    EXPECT_EQ(stats.duplicates, 0u);
+    EXPECT_EQ(stats.pending_frames, 0u);
+    router.close();
+  }
+}
+
+TEST_F(ShardRouterTest, ShardExceptionReachesTheCallerAfterTheSweep) {
+  // A shard whose process() throws (a WAL fsync or compaction failure; here
+  // the crash hook) fails the round the way a single `serve` server does:
+  // the router still sweeps every shard that ran, leaving the failed
+  // frames unacked for the wire to redeliver, and only then rethrows.
+  const auto reports = make_reports(6, 3);
+  const auto reference = reference_run(reports);
+
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{1}}) {
+    SCOPED_TRACE("shards = " + std::to_string(shards));
+    ShardRouter router(*model_, cluster_config(shards));
+    MessageBus ingress;
+    for (const auto& report : reports) ingress.send(report.to_wire());
+
+    service::testhooks::simulate_crash_before_commit = true;
+    EXPECT_THROW(router.process(ingress), std::runtime_error);
+    service::testhooks::simulate_crash_before_commit = false;
+
+    const auto failed = router.stats();
+    EXPECT_EQ(failed.acked_frames, 0u);
+    EXPECT_EQ(failed.rejected_frames, reports.size())
+        << "every frame of the failed round is swept unsettled";
+    EXPECT_EQ(failed.pending_frames, 0u);
+    for (const auto& report : reports) {
+      EXPECT_FALSE(ingress.acknowledged(report.agent_id, report.sequence));
+    }
+
+    // The agents resend everything unacked; the retry settles each report
+    // exactly once.
+    for (const auto& report : reports) ingress.send(report.to_wire());
+    std::vector<DiscoveryKey> discoveries;
     collect(router.process(ingress), discoveries);
-  }
-  std::sort(discoveries.begin(), discoveries.end());
-  EXPECT_EQ(discoveries, reference);
+    std::sort(discoveries.begin(), discoveries.end());
+    EXPECT_EQ(discoveries, reference);
 
-  // Every frame settled on exactly the ring-designated shard and was
-  // acknowledged on the ingress it arrived through.
-  std::uint64_t processed_total = 0;
-  for (std::size_t i = 0; i < router.shard_count(); ++i) {
-    processed_total += router.shard(i).processed();
+    std::uint64_t processed_total = 0;
+    for (std::size_t i = 0; i < router.shard_count(); ++i) {
+      processed_total += router.shard(i).processed();
+    }
+    EXPECT_EQ(processed_total, reports.size());
+    for (const auto& report : reports) {
+      EXPECT_TRUE(ingress.acknowledged(report.agent_id, report.sequence))
+          << report.agent_id << "/" << report.sequence;
+    }
+    const auto stats = router.stats();
+    EXPECT_EQ(stats.duplicates, 0u);
+    EXPECT_EQ(stats.acked_frames, reports.size());
+    router.close();
   }
-  EXPECT_EQ(processed_total, reports.size());
-  for (const auto& report : reports) {
-    EXPECT_TRUE(ingress.acknowledged(report.agent_id, report.sequence))
-        << report.agent_id << "/" << report.sequence;
-    const auto owner = router.shard_for(report.agent_id);
-    const auto inventory = router.shard(owner).inventory();
-    EXPECT_TRUE(inventory.count(report.agent_id))
-        << report.agent_id << " missing from shard " << owner;
-  }
-
-  // Merged inventory: one row per agent, attributed to the owning shard,
-  // applications identical to the single-server fleet view.
-  const MergedInventory merged = router.merge_now();
-  service::ServerConfig single_config;
-  single_config.runtime.num_threads = 1;
-  service::DiscoveryServer single(*model_, single_config);
-  MessageBus single_bus;
-  for (const auto& report : reports) single_bus.send(report.to_wire());
-  for (int round = 0; round < 4; ++round) single.process(single_bus);
-  const auto single_inventory = single.inventory();
-
-  ASSERT_EQ(merged.agents.size(), single_inventory.size());
-  for (const auto& [agent, row] : merged.agents) {
-    EXPECT_EQ(row.shard, router.shard_for(agent)) << agent;
-    ASSERT_TRUE(single_inventory.count(agent)) << agent;
-    EXPECT_EQ(row.applications, single_inventory.at(agent)) << agent;
-    EXPECT_EQ(row.model_epoch, router.shard(row.shard).model().epoch());
-  }
-
-  const auto stats = router.stats();
-  EXPECT_EQ(stats.sent_frames, reports.size());
-  EXPECT_EQ(stats.acked_frames, reports.size());
-  EXPECT_EQ(stats.duplicates, 0u);
-  EXPECT_EQ(stats.pending_frames, 0u);
-  router.close();
 }
 
 TEST_F(ShardRouterTest, ConcurrentSendersSettleEveryFrameExactlyOnce) {
   // The TSan-lane case, in the topology `praxi-cli cluster` runs: agent
   // threads push through their own SocketClients into one frontend
   // SocketServer (whose reader threads fill its queue) while the router
-  // thread runs rounds against the shard workers. Every frame must settle
+  // thread runs rounds on its shard pool. Every frame must settle
   // exactly once, and every agent must see all its acks.
   const std::size_t kThreads = 4;
   const std::size_t kPerThread = 12;

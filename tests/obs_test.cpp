@@ -429,9 +429,8 @@ TEST_F(ObsIntegrationTest, ServerCountsIngestWithMetricsDisabled) {
   // freezes the registry but must not stop processed()/totals(), which
   // `praxi-cli serve --max-reports` and the load generators loop on.
   const RegistryGateGuard gate;
-  service::ServerConfig config;
-  config.runtime.metrics_enabled = false;
-  service::DiscoveryServer server(*model_, config);
+  MetricsRegistry::global().set_enabled(false);
+  service::DiscoveryServer server(*model_);
   ASSERT_FALSE(MetricsRegistry::global().enabled());
 
   service::MessageBus bus;
@@ -468,6 +467,18 @@ TEST_F(ObsIntegrationTest, ServerCountsIngestWithMetricsDisabled) {
                 "praxi_server_reports_total",
                 {{"server", server.server_label()}, {"outcome", "processed"}}),
             0u);
+}
+
+TEST_F(ObsIntegrationTest, ServerConstructionLeavesADisabledRegistryDisabled) {
+  // The metrics gate belongs to the host: building a server (and with it
+  // its model's runtime config) must not switch a disabled registry back
+  // on.
+  const RegistryGateGuard gate;
+  MetricsRegistry::global().set_enabled(false);
+  service::ServerConfig config;
+  config.runtime.num_threads = 2;
+  const service::DiscoveryServer server(*model_, config);
+  EXPECT_FALSE(MetricsRegistry::global().enabled());
 }
 
 /// Registry series carrying this server's label across every

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "common/serialize.hpp"
+#include "obs/metrics.hpp"
 #include "pkg/dataset.hpp"
 
 namespace praxi::core {
@@ -168,6 +169,25 @@ TEST_F(PraxiTest, MultiLabelRoundTrip) {
   const auto& probe = multi_->changesets.front();
   EXPECT_EQ(loaded.snapshot()->predict(probe, 3),
             model.snapshot()->predict(probe, 3));
+}
+
+TEST_F(PraxiTest, LoadPublishesOneEpochOfTheRestoredWeights) {
+  // A load builds the model around the restored learner: no zero-filled
+  // table is published first, so the loaded model starts at epoch 1.
+  Praxi model;
+  model.train_changesets(split(*dirty_, 6, false));
+  const std::string bytes = model.to_binary();
+  auto& registry = obs::MetricsRegistry::global();
+  const std::uint64_t publishes_before =
+      registry.counter_value("praxi_ml_snapshot_publishes_total");
+  const Praxi loaded = Praxi::from_binary(bytes);
+  EXPECT_EQ(loaded.epoch(), 1u);
+  EXPECT_EQ(registry.counter_value("praxi_ml_snapshot_publishes_total") -
+                publishes_before,
+            1u);
+  for (const fs::Changeset* cs : split(*dirty_, 6, true)) {
+    EXPECT_EQ(loaded.snapshot()->predict(*cs), model.snapshot()->predict(*cs));
+  }
 }
 
 TEST_F(PraxiTest, OverheadAccountingPopulated) {

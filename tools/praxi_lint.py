@@ -79,6 +79,16 @@ And the concurrency invariant from the thread-safety-annotations PR
                    by the wrapper itself):
                    `// praxi-lint: allow(naked-mutex: why)`.
 
+  naked-thread     std::thread / std::jthread objects are banned in src/:
+                   work that crosses threads goes through ThreadPool +
+                   parallel_for (common/thread_pool.hpp), which carries a
+                   task's exception back to its caller. Only the pool's
+                   own workers and the socket server's blocking IO threads
+                   hold one, each annotated
+                   `// praxi-lint: allow(naked-thread: why)`. Static
+                   members such as std::thread::hardware_concurrency() do
+                   not trip the rule.
+
 And the serve-while-learn invariant from the snapshot-API PR
 (docs/API.md, docs/CONCURRENCY.md):
 
@@ -200,6 +210,10 @@ NAKED_MUTEX_RE = re.compile(
     r"\bstd::(?:lock_guard|unique_lock|scoped_lock|shared_lock)\b|"
     r"\bstd::condition_variable(?:_any)?\b")
 
+# Raw thread objects (docs/CONCURRENCY.md). `std::thread::` (a static
+# member such as hardware_concurrency()) names no thread and stays legal.
+NAKED_THREAD_RE = re.compile(r"\bstd::j?thread\b(?!\s*::)")
+
 
 class Violation:
     def __init__(self, path: str, line: int, rule: str, message: str):
@@ -298,6 +312,11 @@ def check_file(root: pathlib.Path, path: pathlib.Path) -> list[Violation]:
          "raw std:: synchronization primitive; use the annotated "
          "common::Mutex/LockGuard/CondVar (common/sync.hpp, "
          "docs/CONCURRENCY.md) or annotate: praxi-lint: allow(naked-mutex)")
+
+    scan("naked-thread", NAKED_THREAD_RE,
+         "raw std::thread; run cross-thread work on a ThreadPool "
+         "(common/thread_pool.hpp) or annotate: praxi-lint: "
+         "allow(naked-thread)")
 
     scan("iostream-in-library", IOSTREAM_RE,
          "library code must take std::ostream&, not include <iostream>")
@@ -472,6 +491,12 @@ void wrapper_internals() {
   static std::mutex raw;
   (void)raw;
 }
+std::size_t workers() {
+  return std::thread::hardware_concurrency();
+}
+struct Pool {
+  std::vector<std::thread> workers;  // praxi-lint: allow(naked-thread: pool)
+};
 }  // namespace praxi
 """
 
@@ -510,6 +535,9 @@ SELFTEST_VIOLATIONS = {
     "naked-mutex": (
         "#include <mutex>\n"
         "void f() { std::mutex m; (void)m; }\n"),
+    "naked-thread": (
+        "#include <thread>\n"
+        "void f() { std::thread worker([] {}); worker.join(); }\n"),
     "weight-table-mutation": (
         "void f(praxi::ml::detail::WeightTable& table) {\n"
         "  table.update(x, 0, 0.1f, 0.0f);\n"
