@@ -3,6 +3,7 @@
 #include <chrono>
 #include <deque>
 #include <exception>
+#include <future>
 #include <iterator>
 #include <stdexcept>
 
@@ -190,7 +191,12 @@ ShardRouter::ShardRouter(const core::Praxi& model, ClusterConfig config)
     shard->server = make_server(i);
     shards_.push_back(std::move(shard));
   }
-  if (config_.shards > 1) pool_ = std::make_unique<ThreadPool>(config_.shards);
+  // One worker per shard, each shard on its own: a shard always classifies
+  // on the same thread, so its model table, dedup state and allocations
+  // stay with that thread from one round to the next.
+  if (config_.shards > 1) {
+    for (auto& shard : shards_) shard->pool = std::make_unique<ThreadPool>(1);
+  }
 }
 
 ShardRouter::~ShardRouter() { close(); }
@@ -229,18 +235,29 @@ std::vector<service::Discovery> ShardRouter::process(
   for (auto& wire : ingress.drain()) route(std::move(wire));
 
   // The fork-join: every shard with routed work runs its own
-  // DiscoveryServer::process() on the pool (inline with one shard).
+  // DiscoveryServer::process() on its shard's pool, or inline in a
+  // one-shard router (which has no pools, so the two never mix).
   std::vector<std::size_t> active;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     if (shards_[i]->transport->queued() > 0) active.push_back(i);
   }
   std::vector<std::vector<service::Discovery>> batches(active.size());
+  std::vector<std::future<void>> running;
+  running.reserve(active.size());
   std::exception_ptr error;
   try {
-    parallel_for(pool_.get(), active.size(), [&](std::size_t k) {
+    for (std::size_t k = 0; k < active.size(); ++k) {
       Shard& shard = *shards_[active[k]];
-      batches[k] = shard.server->process(*shard.transport);
-    });
+      auto run = [&batches, &shard, k] {
+        batches[k] = shard.server->process(*shard.transport);
+      };
+      if (shard.pool) {
+        running.push_back(shard.pool->submit(run));
+      } else {
+        run();
+      }
+    }
+    wait_all(running);
   } catch (...) {
     error = std::current_exception();
   }
@@ -298,7 +315,7 @@ void ShardRouter::restart_shard(std::size_t shard) {
 
 void ShardRouter::close() {
   closed_ = true;
-  pool_.reset();
+  for (auto& shard : shards_) shard->pool.reset();
 }
 
 service::TransportStats ShardRouter::stats() const {

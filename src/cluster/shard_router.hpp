@@ -18,9 +18,9 @@
 //
 // Concurrency model (docs/CONCURRENCY.md): each process() round is one
 // fork-join. The router routes the drained ingress batch into the owning
-// shards' queues, then runs one parallel_for over the shards with work on
-// a ThreadPool it owns (one worker per shard; with one shard the round
-// runs inline). Shards classify concurrently, each inside its own
+// shards' queues, then submits each shard with work to that shard's own
+// one-worker ThreadPool and waits for all of them (with one shard the
+// round runs inline). Shards classify concurrently, each inside its own
 // DiscoveryServer::process() (rank kServerState) against its own
 // ShardTransport (rank kClusterShardQueue). After the join the router
 // thread sweeps each shard that ran: the frames it settled this round are
@@ -98,7 +98,7 @@ class ShardRouter {
   /// Throws TransportError after close().
   std::vector<service::Discovery> process(service::Transport& ingress);
 
-  /// Releases the shard pool's workers; idempotent. Call from the thread
+  /// Releases the shard pools' workers; idempotent. Call from the thread
   /// that calls process(). Shard servers stay readable (inventory/stats)
   /// after close.
   void close();
@@ -133,6 +133,9 @@ class ShardRouter {
   struct Shard {
     std::unique_ptr<detail::ShardTransport> transport;
     std::unique_ptr<service::DiscoveryServer> server;
+    /// This shard's one worker; null in a one-shard router (rounds run
+    /// inline) and after close().
+    std::unique_ptr<ThreadPool> pool;
   };
 
   std::unique_ptr<service::DiscoveryServer> make_server(std::size_t index);
@@ -144,9 +147,6 @@ class ShardRouter {
   HashRing ring_;
   core::Praxi model_;  ///< pristine copy for shard (re)construction
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// One worker per shard; null with one shard (rounds run inline) and
-  /// after close().
-  std::unique_ptr<ThreadPool> pool_;
 
   bool closed_ = false;      ///< router thread only
   std::uint64_t round_ = 0;  ///< router thread only

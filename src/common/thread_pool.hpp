@@ -64,6 +64,21 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// Blocks until every future is ready, then rethrows the first exception
+/// any of them carried. Waiting for all of them first means no task still
+/// references the caller's state when the exception reaches it.
+inline void wait_all(std::vector<std::future<void>>& futures) {
+  std::exception_ptr first_error;
+  for (auto& future : futures) {
+    try {
+      future.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
+}
+
 /// Runs fn(i) for every i in [0, count) — on `pool` when it has more than
 /// one worker, inline otherwise (a null pool is the explicit sequential
 /// path). Blocks until every invocation finished. The first exception thrown
@@ -79,15 +94,7 @@ void parallel_for(ThreadPool* pool, std::size_t count, Fn&& fn) {
   for (std::size_t i = 0; i < count; ++i) {
     futures.push_back(pool->submit([&fn, i] { fn(i); }));
   }
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  wait_all(futures);
 }
 
 }  // namespace praxi

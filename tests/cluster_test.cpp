@@ -223,7 +223,7 @@ pkg::Dataset* ShardRouterTest::dataset_ = nullptr;
 core::Praxi* ShardRouterTest::model_ = nullptr;
 
 TEST_F(ShardRouterTest, RoutesByRingSettlesAndMatchesSingleServer) {
-  // Four shards fork-join on the router's pool; one shard runs each round
+  // Four shards fork-join on their own pools; one shard runs each round
   // inline on the caller's thread. Both must equal the single server.
   const auto reports = make_reports(6, 6);
   const auto reference = reference_run(reports);
@@ -341,7 +341,7 @@ TEST_F(ShardRouterTest, ConcurrentSendersSettleEveryFrameExactlyOnce) {
   // The TSan-lane case, in the topology `praxi-cli cluster` runs: agent
   // threads push through their own SocketClients into one frontend
   // SocketServer (whose reader threads fill its queue) while the router
-  // thread runs rounds on its shard pool. Every frame must settle
+  // thread runs rounds on its shard pools. Every frame must settle
   // exactly once, and every agent must see all its acks.
   const std::size_t kThreads = 4;
   const std::size_t kPerThread = 12;

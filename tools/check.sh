@@ -152,7 +152,7 @@ run_tsan() {
   #                  at-least-once redelivery (FaultMatrixTest)
   #   snapshot_test  predict threads reading frozen snapshots while the
   #                  trainer publishes epochs (zero locks on that path)
-  #   cluster_test   the router's per-round fork-join over its shard pool,
+  #   cluster_test   the router's per-round fork-join over its shard pools,
   #                  fed by socket agents through one frontend
   # clang runs every suite. gcc (libstdc++) runs them all but the
   # SnapshotConcurrency suite: libstdc++ implements the model's

@@ -80,9 +80,9 @@ And the concurrency invariant from the thread-safety-annotations PR
                    `// praxi-lint: allow(naked-mutex: why)`.
 
   naked-thread     std::thread / std::jthread objects are banned in src/:
-                   work that crosses threads goes through ThreadPool +
-                   parallel_for (common/thread_pool.hpp), which carries a
-                   task's exception back to its caller. Only the pool's
+                   work that crosses threads goes through a ThreadPool
+                   (common/thread_pool.hpp), whose futures carry a task's
+                   exception back to its caller. Only the pool's
                    own workers and the socket server's blocking IO threads
                    hold one, each annotated
                    `// praxi-lint: allow(naked-thread: why)`. Static
