@@ -5,6 +5,12 @@
 // streams learn_one() updates, each publishing a fresh epoch (the worst-case
 // publish cadence, snapshot_publish_every = 1).
 //
+// Scenario C (publish cost): per-call learn_one() + publish latency on the
+// model shape the learn_while_serve workload serves — multi-label over every
+// standard application (83 classes) — at cadence 1, and learn_one() and
+// publish() timed apart at cadence 0. No reader holds an epoch, as in a
+// server whose process() drops its pinned epoch before the next publish.
+//
 // The claim under test: the predict hot path is one atomic acquire load plus
 // reads of frozen state — no lock, no rank — so its CPU cost per prediction
 // stays flat (within ~10%) whether or not a trainer is publishing. On a
@@ -12,6 +18,7 @@
 // (the trainer steals the core), which is why both wall and per-thread CPU
 // time (CLOCK_THREAD_CPUTIME_ID) are reported. Publish latency comes from
 // the praxi_ml_snapshot_* instruments the publish path maintains.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <ctime>
@@ -81,6 +88,90 @@ RunResult run_reader(core::Praxi& model,
   return result;
 }
 
+/// p50 and p99 of per-call microseconds.
+struct Quantiles {
+  double p50_us = 0.0;
+  double p99_us = 0.0;
+};
+
+Quantiles quantiles(std::vector<double> us) {
+  std::sort(us.begin(), us.end());
+  const auto at = [&](double q) {
+    return us[static_cast<std::size_t>(q * double(us.size() - 1))];
+  };
+  return {at(0.50), at(0.99)};
+}
+
+std::uint64_t full_copies() {
+  return obs::MetricsRegistry::global().counter_value(
+      "praxi_ml_snapshot_full_copies_total");
+}
+
+/// Scenario C: learn_one() + publish on a trained multi-label model over
+/// every standard application.
+void run_publish_cost(const bench::BenchArgs& args) {
+  const auto catalog = pkg::Catalog::standard(args.seed);
+  pkg::DatasetBuilder builder(catalog, args.seed);
+  pkg::CollectOptions options;
+  options.samples_per_app = static_cast<std::size_t>(args.scaled(40, 4));
+  pkg::Dataset singles = builder.collect_dirty(options);
+  singles.refresh_labels();
+  const pkg::Dataset windows =
+      pkg::DatasetBuilder::synthesize_multi(singles, 200, 2, 5, args.seed);
+
+  core::PraxiConfig config;
+  config.mode = core::LabelMode::kMultiLabel;
+  core::Praxi trained(config);
+  trained.train_changesets(eval::pointers(singles));
+  std::vector<columbus::TagSet> stream;
+  for (const auto& cs : windows.changesets) {
+    stream.push_back(trained.extract_tags(cs));
+  }
+
+  const std::size_t updates = args.scaled(20000, 2000);
+  std::vector<double> both, learn, publish;
+  const std::uint64_t copies_before = full_copies();
+  {
+    core::Praxi model(trained);  // cadence 1: learn_one publishes
+    for (std::size_t i = 0; i < updates; ++i) {
+      Stopwatch sw;
+      model.learn_one(stream[i % stream.size()]);
+      both.push_back(sw.elapsed_s() * 1e6);
+    }
+  }
+  const std::uint64_t copies_cadence_1 = full_copies() - copies_before;
+  {
+    core::Praxi model(trained);
+    common::RuntimeConfig runtime = model.runtime();
+    runtime.snapshot_publish_every = 0;
+    model.set_runtime(runtime);
+    for (std::size_t i = 0; i < updates; ++i) {
+      Stopwatch sw;
+      model.learn_one(stream[i % stream.size()]);
+      learn.push_back(sw.elapsed_s() * 1e6);
+      sw.reset();
+      model.publish();
+      publish.push_back(sw.elapsed_s() * 1e6);
+    }
+  }
+
+  std::cout << "== learn_one + publish: multi-label, "
+            << trained.labels().size() << " classes, " << updates
+            << " updates per run ==\n";
+  eval::TextTable table({"call", "p50 us", "p99 us"});
+  const auto row = [&](const char* name, std::vector<double> us) {
+    const Quantiles q = quantiles(std::move(us));
+    table.add_row({name, eval::fmt_double(q.p50_us),
+                   eval::fmt_double(q.p99_us)});
+  };
+  row("learn_one + publish (cadence 1)", std::move(both));
+  row("learn_one alone (cadence 0)", std::move(learn));
+  row("publish() after it", std::move(publish));
+  std::cout << table.render()
+            << "whole-table copies at cadence 1: " << copies_cadence_1
+            << " of " << updates << " publishes\n\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -104,6 +195,8 @@ int main(int argc, char** argv) {
     tags.labels.clear();
     probes.push_back(std::move(tags));
   }
+
+  run_publish_cost(args);
 
   const std::size_t predictions = args.scaled(200000, 20000);
   std::cout << "== micro_snapshot: predict cost idle vs serve-while-learn ==\n"

@@ -1,5 +1,6 @@
 #include "cli/cli.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <map>
@@ -23,21 +24,27 @@
 namespace praxi::cli {
 namespace {
 
-/// Minimal option parser: --key value / --key=value / flags / positionals.
+/// Minimal option parser: --key value / --key=value / switches /
+/// positionals. A switch (`--append`) never takes the next argument as its
+/// value, so `train --append FILE...` trains on every FILE.
 struct Options {
   std::map<std::string, std::string> named;
   std::vector<std::string> positional;
 
-  static Options parse(const std::vector<std::string>& args,
-                       std::size_t start) {
+  static Options parse(const std::vector<std::string>& args, std::size_t start,
+                       const std::vector<std::string>& switches) {
     Options options;
     for (std::size_t i = start; i < args.size(); ++i) {
       const std::string& arg = args[i];
       if (arg.rfind("--", 0) == 0) {
         const auto eq = arg.find('=');
+        const bool is_switch =
+            std::find(switches.begin(), switches.end(), arg.substr(2)) !=
+            switches.end();
         if (eq != std::string::npos) {
           options.named[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-        } else if (i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0) {
+        } else if (!is_switch && i + 1 < args.size() &&
+                   args[i + 1].rfind("--", 0) != 0) {
           options.named[arg.substr(2)] = args[++i];
         } else {
           options.named[arg.substr(2)] = "true";
@@ -528,38 +535,81 @@ int cmd_report(const Options& options, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
+/// A command, the option names it reads (`n` is `-n`) and which of them
+/// are switches. Every command also takes --metrics-out; any other name is
+/// refused, so a misspelled or retired flag fails loudly instead of being
+/// ignored.
+struct Command {
+  const char* name;
+  int (*handler)(const Options&, std::ostream&, std::ostream&);
+  std::vector<std::string> flags;
+  std::vector<std::string> switches = {};
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"demo-corpus", cmd_demo_corpus, {"out", "apps", "samples", "seed"}},
+      {"tags", cmd_tags, {}},
+      {"train",
+       cmd_train,
+       {"model", "threads", "snapshot-every"},
+       {"multi", "append"}},
+      {"predict", cmd_predict, {"model", "n", "threads"}},
+      {"inspect", cmd_inspect, {"model"}},
+      {"stats", cmd_stats, {"model", "format", "n", "threads"}},
+      {"serve",
+       cmd_serve,
+       {"model", "max-reports", "duration-s", "port", "port-file",
+        "queue-bound", "threads", "snapshot-every", "wal-dir"}},
+      {"cluster",
+       cmd_cluster,
+       {"model", "shards", "max-reports", "duration-s", "port", "port-file",
+        "queue-bound", "threads", "snapshot-every", "wal-root"}},
+      {"report", cmd_report, {"connect", "agent", "timeout-ms"}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int run(const std::vector<std::string>& argv, std::ostream& out,
         std::ostream& err) {
   if (argv.empty()) return usage(err);
   const std::string& command = argv[0];
-  const Options options = Options::parse(argv, 1);
+  if (command == "--help" || command == "help") {
+    usage(out);
+    return 0;
+  }
+  const auto it =
+      std::find_if(commands().begin(), commands().end(),
+                   [&](const Command& c) { return command == c.name; });
+  if (it == commands().end()) {
+    err << "unknown command: " << command << "\n";
+    return usage(err);
+  }
+  const Options options = Options::parse(argv, 1, it->switches);
+  const auto reads = [&](const std::string& name) {
+    return name == "metrics-out" ||
+           std::find(it->flags.begin(), it->flags.end(), name) !=
+               it->flags.end() ||
+           std::find(it->switches.begin(), it->switches.end(), name) !=
+               it->switches.end();
+  };
+  for (const auto& [name, value] : options.named) {
+    if (!reads(name)) {
+      err << command << ": unknown option "
+          << (name == "n" ? "-n" : "--" + name) << "\n";
+      return usage(err);
+    }
+  }
   try {
-    int rc = -1;
-    if (command == "demo-corpus") rc = cmd_demo_corpus(options, out, err);
-    if (command == "tags") rc = cmd_tags(options, out, err);
-    if (command == "train") rc = cmd_train(options, out, err);
-    if (command == "predict") rc = cmd_predict(options, out, err);
-    if (command == "inspect") rc = cmd_inspect(options, out, err);
-    if (command == "stats") rc = cmd_stats(options, out, err);
-    if (command == "serve") rc = cmd_serve(options, out, err);
-    if (command == "cluster") rc = cmd_cluster(options, out, err);
-    if (command == "report") rc = cmd_report(options, out, err);
-    if (rc >= 0) {
-      if (rc == 0) maybe_dump_metrics(options);
-      return rc;
-    }
-    if (command == "--help" || command == "help") {
-      usage(out);
-      return 0;
-    }
+    const int rc = it->handler(options, out, err);
+    if (rc == 0) maybe_dump_metrics(options);
+    return rc;
   } catch (const std::exception& e) {
     err << command << ": " << e.what() << "\n";
     return 1;
   }
-  err << "unknown command: " << command << "\n";
-  return usage(err);
 }
 
 int run_main(int argc, char** argv, std::ostream& out, std::ostream& err) {

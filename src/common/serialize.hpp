@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -84,6 +85,11 @@ class BinaryWriter {
 
   template <typename T>
   void put_vector(const std::vector<T>& v) {
+    put_vector(std::span<const T>(v));
+  }
+
+  template <typename T>
+  void put_vector(std::span<const T> v) {
     static_assert(std::is_trivially_copyable_v<T>);
     put<std::uint64_t>(v.size());
     const auto old = buf_.size();

@@ -56,12 +56,12 @@ columbus::TagSet ModelSnapshot::extract_tags(
     const fs::Changeset& changeset) const {
   // Per-thread reusable scratch: repeat callers (the serving loop) pay zero
   // pipeline allocations after their first extraction on this thread.
-  return columbus_.extract(changeset, columbus::tls_extraction_scratch());
+  return columbus_->extract(changeset, columbus::tls_extraction_scratch());
 }
 
 std::vector<columbus::TagSet> ModelSnapshot::extract_tags(
     std::span<const fs::Changeset* const> changesets, ThreadPool* pool) const {
-  return columbus_.extract(changesets, pool);
+  return columbus_->extract(changesets, pool);
 }
 
 template <typename AnyChangeset>
@@ -70,7 +70,7 @@ std::vector<std::string> ModelSnapshot::predict_one(
   // The ranked tags stay views into this thread's scratch from extraction
   // until they are hashed, so no tag string is ever copied.
   const std::span<const columbus::TagView> tags =
-      columbus_.extract_ranked(changeset, columbus::tls_extraction_scratch());
+      columbus_->extract_ranked(changeset, columbus::tls_extraction_scratch());
   obs::ScopedTimer timer(predict_seconds());
   return learner_.predict(hash_tagset_features(hasher_, tags), n);
 }

@@ -7,13 +7,18 @@
 // through it for as long as they hold the pointer: every prediction made
 // through one handle is answered by exactly one published epoch, even while
 // the trainer keeps streaming SGD updates and publishing newer epochs.
-// Retired epochs are freed by the last reader's shared_ptr release.
+// Retired epochs are freed by the last reader's shared_ptr release; the
+// release hands the epoch's weight buffer back to the publisher, which
+// refreshes it at only the slots SGD wrote since (ml::OnlineLearner::freeze),
+// so a publish costs the size of the change, not of the 2^bits table.
 //
 // Predictions here are bit-identical to the live engine at the publish
 // point: the tag-extraction, feature-hashing, and scoring code is the SAME
 // code Praxi runs (columbus::Columbus, hash_tagset_features,
-// ml::OnlineLearner) over frozen copies of the same state. The learner is
-// held as a `const` copy, so no snapshot code can mutate its weights.
+// ml::OnlineLearner) over frozen copies of the same state. Epochs share the
+// immutable Columbus extractor and label space instead of copying them; the
+// learner is held as a `const` frozen copy, so no snapshot code can mutate
+// its weights.
 #pragma once
 
 #include <cstddef>
@@ -52,8 +57,8 @@ class ModelSnapshot {
  public:
   /// Built by Praxi's publish path; not meant for direct construction.
   ModelSnapshot(std::uint64_t epoch, LabelMode mode, bool trained,
-                columbus::Columbus columbus, ml::FeatureHasher hasher,
-                ml::OnlineLearner learner)
+                std::shared_ptr<const columbus::Columbus> columbus,
+                ml::FeatureHasher hasher, ml::OnlineLearner learner)
       : epoch_(epoch),
         mode_(mode),
         trained_(trained),
@@ -130,7 +135,7 @@ class ModelSnapshot {
   std::uint64_t epoch_;
   LabelMode mode_;
   bool trained_;
-  columbus::Columbus columbus_;
+  std::shared_ptr<const columbus::Columbus> columbus_;
   ml::FeatureHasher hasher_;
   const ml::OnlineLearner learner_;
 };

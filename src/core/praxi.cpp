@@ -22,13 +22,14 @@ obs::Histogram& train_seconds() {
 
 
 /// Serve-while-learn instruments (docs/API.md): the publish path is the
-/// only writer of all four, always under the publish lock.
+/// only writer of all of them, always under the publish lock.
 struct SnapshotInstruments {
   obs::Histogram& publish_seconds;
   obs::Counter& publishes;
   obs::Gauge& epoch;
   obs::Gauge& stale_updates;
   obs::Gauge& retired_refs;
+  obs::Counter& full_copies;
 
   SnapshotInstruments()
       : publish_seconds(obs::MetricsRegistry::global().histogram(
@@ -47,7 +48,10 @@ struct SnapshotInstruments {
         retired_refs(obs::MetricsRegistry::global().gauge(
             "praxi_ml_snapshot_retired_refs",
             "Reader handles still pinning the epoch retired by the last "
-            "publish")) {}
+            "publish")),
+        full_copies(obs::MetricsRegistry::global().counter(
+            "praxi_ml_snapshot_full_copies_total",
+            "Snapshot publishes that copied the whole weight table")) {}
 };
 
 SnapshotInstruments& snapshot_instruments() {
@@ -82,7 +86,7 @@ Praxi::Praxi(PraxiConfig config)
 
 Praxi::Praxi(PraxiConfig config, ml::OnlineLearner learner, bool trained)
     : config_(config),
-      columbus_(config.columbus),
+      columbus_(std::make_shared<const columbus::Columbus>(config.columbus)),
       hasher_(config.learner.bits),
       learner_(std::move(learner)),
       trained_(trained) {
@@ -171,12 +175,12 @@ columbus::TagSet Praxi::extract_tags(const fs::Changeset& changeset) const {
   // Explicitly route through the calling thread's reusable scratch: repeat
   // callers (the serving loop) pay zero pipeline allocations after their
   // first extraction on this thread.
-  return columbus_.extract(changeset, columbus::tls_extraction_scratch());
+  return columbus_->extract(changeset, columbus::tls_extraction_scratch());
 }
 
 std::vector<columbus::TagSet> Praxi::extract_tags(
     std::span<const fs::Changeset* const> changesets) const {
-  return columbus_.extract(changesets, pool_.get());
+  return columbus_->extract(changesets, pool_.get());
 }
 
 ml::FeatureVector Praxi::features_of(const columbus::TagSet& tagset) const {
@@ -185,14 +189,19 @@ ml::FeatureVector Praxi::features_of(const columbus::TagSet& tagset) const {
 
 ModelSnapshotPtr Praxi::publish_snapshot() {
   // Serializes concurrent publishers (rank kModelPublish). The freeze is
-  // the copy-on-write half: labels + the whole weight table are deep-copied
-  // so readers of older epochs are untouched; the swap is one atomic
-  // release exchange — readers pin epochs wait-free throughout.
+  // the copy-on-write half: the new epoch shares the immutable Columbus and
+  // label space, and its weights are a buffer recycled from a dropped epoch
+  // refreshed at the slots SGD wrote since (a whole-table copy only when no
+  // such buffer is free), so readers of older epochs are untouched; the
+  // swap is one atomic release exchange — readers pin epochs wait-free
+  // throughout.
   common::LockGuard lock(publish_mutex_);
   Stopwatch timer;
   const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed) + 1;
+  bool full_copy = false;
   auto snap = std::make_shared<const ModelSnapshot>(
-      epoch, config_.mode, trained_, columbus_, hasher_, learner_);
+      epoch, config_.mode, trained_, columbus_, hasher_,
+      learner_.freeze(full_copy));
   ModelSnapshotPtr retired =
       snapshot_.exchange(snap, std::memory_order_acq_rel);
   epoch_.store(epoch, std::memory_order_relaxed);
@@ -201,6 +210,7 @@ ModelSnapshotPtr Praxi::publish_snapshot() {
   auto& instruments = snapshot_instruments();
   instruments.publish_seconds.observe(timer.elapsed_s());
   instruments.publishes.inc();
+  if (full_copy) instruments.full_copies.inc();
   instruments.epoch.set(static_cast<double>(epoch));
   instruments.stale_updates.set(0.0);
   // use_count() counts our local handle too; readers = the rest. A stale

@@ -16,10 +16,13 @@
 // Serve-while-learn (docs/API.md, docs/CONCURRENCY.md): prediction goes
 // through immutable, refcounted ModelSnapshots. Every learn batch ends by
 // publishing a new epoch — build a frozen copy of the model, swap one
-// atomic shared_ptr (RCU-style). snapshot() pins the current epoch with a
-// single acquire load, so any number of predict threads read a consistent
-// model with zero locks on the hot path while learn_one()/train() keep
-// mutating the live weights. All prediction goes through snapshot() — the
+// atomic shared_ptr (RCU-style). The frozen copy shares the Columbus
+// extractor and the label space, and refreshes a weight buffer recycled
+// from an epoch readers have dropped at only the slots SGD wrote since, so
+// a publish costs O(delta), not a copy of the whole weight table.
+// snapshot() pins the current epoch with a single acquire load, so any
+// number of predict threads read a consistent model with zero locks on the
+// hot path while learn_one()/train() keep mutating the live weights. All prediction goes through snapshot() — the
 // deprecated direct-predict shims from PR 9 are gone (docs/API.md).
 #pragma once
 
@@ -71,9 +74,10 @@ class Praxi {
  public:
   explicit Praxi(PraxiConfig config = {});
 
-  /// Copying a trained Praxi copies the model (and shares the thread pool);
-  /// the copy starts at the source's current epoch and publishes
-  /// independently from there. Hand-written because the snapshot cell
+  /// Copying a trained Praxi copies the model (and shares the thread pool
+  /// and the immutable Columbus extractor); the copy starts at the source's
+  /// current epoch and publishes independently from there, never recycling
+  /// the source's weight buffers. Hand-written because the snapshot cell
   /// (atomic) and the publish mutex are not copyable themselves.
   Praxi(const Praxi& other);
   Praxi& operator=(const Praxi& other);
@@ -182,7 +186,8 @@ class Praxi {
   void maybe_publish_after_update();
 
   PraxiConfig config_;
-  columbus::Columbus columbus_;
+  /// Immutable; shared with every published epoch.
+  std::shared_ptr<const columbus::Columbus> columbus_;
   ml::FeatureHasher hasher_;
   ml::OnlineLearner learner_;
   PraxiOverhead overhead_;

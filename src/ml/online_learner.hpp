@@ -17,14 +17,18 @@
 // Both support incremental ("online") training: new labels register classes
 // on the fly and existing models keep learning from new examples without a
 // restart — the capability that distinguishes Praxi from DeltaSherlock.
-// The frozen form a model snapshot serves is simply a `const` copy of the
-// learner (core/model_snapshot.hpp), so live and frozen predictions run the
-// same code.
+// The frozen form a model snapshot serves is a `const` OnlineLearner made by
+// freeze() (core/model_snapshot.hpp), so live and frozen predictions run the
+// same code. A frozen copy shares the label space and keeps its weights in
+// a recycled buffer refreshed at only the slots SGD wrote since it was last
+// used, so a publish costs the size of the change, not of the table.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -62,39 +66,90 @@ class LabelSpace {
 
 namespace detail {
 
+/// The one spare buffer a live table's retired frozen copies hand back to
+/// (defined in online_learner.cpp). Shared with every frozen copy's deleter,
+/// so it outlives the table when a reader holds an epoch longer.
+class SpareSlot;
+
 /// Shared weight table with per-class slot mixing and SGD updates.
+///
+/// A live table also logs the slots update() writes, so freeze() can refresh
+/// a recycled frozen buffer at only those slots instead of copying the whole
+/// table (the O(delta) snapshot publish, docs/API.md).
 class WeightTable {
  public:
   explicit WeightTable(unsigned bits);
+  /// Deep copy. The copy starts with no write log and its own spare slot,
+  /// so it never recycles a buffer frozen from `other`.
+  WeightTable(const WeightTable& other);
+  WeightTable& operator=(const WeightTable& other);
+  WeightTable(WeightTable&&) noexcept = default;
+  WeightTable& operator=(WeightTable&&) noexcept = default;
 
   float score(const FeatureVector& x, std::uint32_t class_id) const;
   /// w[slot] += step * value for every feature (plus L2 shrinkage).
   void update(const FeatureVector& x, std::uint32_t class_id, float step,
               float l2);
 
-  std::size_t size_bytes() const { return weights_.size() * sizeof(float); }
-  const std::vector<float>& raw() const { return weights_; }
+  std::size_t size_bytes() const { return slots() * sizeof(float); }
+  std::span<const float> raw() const { return {weights_.get(), slots()}; }
   /// Replaces the whole table (snapshot restore) and recounts occupancy.
-  void set_raw(std::vector<float> weights);
+  void set_raw(const std::vector<float>& weights);
+  /// Zeroes every slot (learner reset).
+  void clear();
   unsigned bits() const { return bits_; }
 
   /// Number of nonzero slots, maintained incrementally by update() so the
   /// occupancy gauge costs O(1) to read.
   std::size_t occupancy() const { return nonzero_; }
-  std::size_t slots() const { return weights_.size(); }
+  std::size_t slots() const { return std::size_t{mask_} + 1; }
+
+  /// Immutable copy of the current weights for a snapshot epoch. Its buffer
+  /// goes back to this table's spare slot when the last copy of it is
+  /// destroyed. When the spare holds the buffer of the freeze before the
+  /// last one and every write since then is logged, only the logged slots
+  /// are copied into it; otherwise the whole table is. `full_copy` says
+  /// which.
+  WeightTable freeze(bool& full_copy);
+  /// Drops the write log: the next two freezes copy the whole table. For
+  /// bulk writers (train()), whose writes would overflow the log anyway.
+  void forget_writes();
 
  private:
+  /// A frozen table around `weights` (freeze()).
+  WeightTable(unsigned bits, std::size_t nonzero,
+              std::shared_ptr<float[]> weights);
+
   std::uint32_t slot(std::uint32_t feature_index,
                      std::uint32_t class_id) const {
     // Golden-ratio mixing keeps distinct classes' views of the table
     // decorrelated without rehashing every feature per class.
     return (feature_index ^ (class_id * 0x9e3779b9u)) & mask_;
   }
+  /// Whether update() should log `count` more writes; drops the log once
+  /// it would pass its cap.
+  bool log_writes(std::size_t count);
 
   unsigned bits_;
   std::uint32_t mask_;
-  std::vector<float> weights_;
+  /// Live tables own theirs; a frozen table's deleter hands it back to the
+  /// spare slot of the live table it was frozen from.
+  std::shared_ptr<float[]> weights_;
   std::size_t nonzero_ = 0;
+
+  // Delta-publish state (live tables only; empty in frozen ones).
+  std::shared_ptr<SpareSlot> spare_;
+  /// Slots written since the last freeze, and in the interval before it.
+  std::vector<std::uint32_t> written_;
+  std::vector<std::uint32_t> written_before_;
+  /// Whether written_ / written_before_ list every write of their interval.
+  bool logging_ = false;
+  bool logged_before_ = false;
+  /// Stamps of the buffers filled by the last freeze and the one before
+  /// (0 = none). Stamps are unique across all tables, so a buffer frozen
+  /// from another table can never match.
+  std::uint64_t current_stamp_ = 0;
+  std::uint64_t retired_stamp_ = 0;
 };
 
 }  // namespace detail
@@ -140,7 +195,14 @@ class OnlineLearner {
 
   void reset();
 
-  const LabelSpace& labels() const { return labels_; }
+  /// The frozen copy a snapshot epoch serves (core/model_snapshot.hpp). It
+  /// shares the label space, which is immutable once shared (learn_one()
+  /// replaces it when it interns a new label), and holds its weights in a
+  /// buffer recycled from an earlier retired copy (WeightTable::freeze).
+  /// `full_copy` reports whether the whole weight table was copied.
+  OnlineLearner freeze(bool& full_copy);
+
+  const LabelSpace& labels() const { return *labels_; }
   std::size_t size_bytes() const { return table_.size_bytes(); }
   std::uint64_t update_count() const { return update_count_; }
 
@@ -158,7 +220,19 @@ class OnlineLearner {
                                    Reduction reduction);
 
  private:
+  /// A frozen copy around a shared label space and a frozen table.
+  OnlineLearner(Reduction reduction, OnlineLearnerConfig config,
+                std::shared_ptr<const LabelSpace> labels,
+                detail::WeightTable table)
+      : reduction_(reduction),
+        config_(config),
+        labels_(std::move(labels)),
+        table_(std::move(table)) {}
+
   float next_learning_rate();
+  /// Class ids of `labels`, registering the new ones in a fresh copy of the
+  /// label space so that frozen copies sharing the old one never change.
+  std::vector<std::uint32_t> intern(const std::vector<std::string>& labels);
   /// Index of the highest-scoring class (first wins ties); requires at
   /// least one registered class.
   std::uint32_t argmax(const FeatureVector& features) const;
@@ -168,7 +242,7 @@ class OnlineLearner {
 
   Reduction reduction_;
   OnlineLearnerConfig config_;
-  LabelSpace labels_;
+  std::shared_ptr<const LabelSpace> labels_;
   detail::WeightTable table_;
   std::uint64_t update_count_ = 0;
 };

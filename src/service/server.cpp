@@ -355,7 +355,6 @@ std::vector<std::string> DiscoveryServer::agents_running(
 }
 
 void DiscoveryServer::learn_feedback(const fs::Changeset& labeled_changeset) {
-  common::LockGuard lock(state_mutex_);
   const auto& labels = labeled_changeset.labels();
   if (labels.empty())
     throw std::invalid_argument(
@@ -369,7 +368,12 @@ void DiscoveryServer::learn_feedback(const fs::Changeset& labeled_changeset) {
         "carrying " +
         std::to_string(labels.size()) + " labels");
   }
-  const auto tagset = model_.extract_tags(labeled_changeset);
+  // Extraction reads only the immutable Columbus every epoch shares, so it
+  // runs before the state lock, off the path of concurrent process() calls;
+  // the lock covers the model and store mutation.
+  const columbus::TagSet tagset =
+      model_.snapshot()->extract_tags(labeled_changeset);
+  common::LockGuard lock(state_mutex_);
   model_.learn_one(tagset);
   store_.add(tagset);
   // learn_one publishes per the snapshot_publish_every cadence; reflect

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -129,6 +132,11 @@ TEST_F(CliTest, AppendContinuesTraining) {
   second.insert(second.end(), files.begin() + half, files.end());
   ASSERT_EQ(run_cli(second), 0) << err_.str();
   EXPECT_NE(out_.str().find("updated"), std::string::npos);
+  // --append is a switch: the file after it is trained on, not its value.
+  EXPECT_NE(out_.str().find("on " + std::to_string(second.size() - 4) +
+                            " changesets"),
+            std::string::npos)
+      << out_.str();
 }
 
 TEST_F(CliTest, TrainRejectsMissingModelArgument) {
@@ -255,6 +263,77 @@ TEST_F(CliTest, ClusterRejectsMissingBoundAndZeroShards) {
   EXPECT_NE(err_.str().find("--shards must be >= 1"), std::string::npos)
       << err_.str();
   EXPECT_EQ(run_cli({"cluster", "--max-reports", "1"}), 2);  // no --model
+}
+
+TEST_F(CliTest, UnknownFlagFailsWithUsage) {
+  ASSERT_EQ(run_cli({"demo-corpus", "--out", dir_, "--apps", "4",
+                     "--samples", "2"}),
+            0);
+  const std::string model = dir_ + "/model.praxi";
+  std::vector<std::string> train_args{"train", "--model", model};
+  for (const auto& file : corpus_files()) train_args.push_back(file);
+  ASSERT_EQ(run_cli(train_args), 0) << err_.str();
+
+  EXPECT_EQ(run_cli({"inspect", "--model", model, "--merge-every", "3"}), 2);
+  EXPECT_NE(err_.str().find("inspect: unknown option --merge-every"),
+            std::string::npos)
+      << err_.str();
+  EXPECT_NE(err_.str().find("usage: praxi-cli"), std::string::npos);
+  EXPECT_TRUE(out_.str().empty()) << "the command must not run";
+
+  EXPECT_EQ(run_cli({"cluster", "--model", model, "--shards", "2",
+                     "--max-reports", "1", "--merge-every", "2"}),
+            2);
+  EXPECT_NE(err_.str().find("cluster: unknown option --merge-every"),
+            std::string::npos)
+      << err_.str();
+  EXPECT_EQ(run_cli({"inspect", "--model", model, "-n", "2"}), 2);
+  EXPECT_NE(err_.str().find("inspect: unknown option -n"), std::string::npos);
+}
+
+TEST_F(CliTest, EveryFlagInUsageIsAcceptedByItsCommand) {
+  // Each command's lines of the usage text name its flags; --metrics-out
+  // applies to every command. Run each flag alone: the command may refuse
+  // for a missing argument, never for an unknown option.
+  ASSERT_EQ(run_cli({"help"}), 0);
+  std::istringstream usage_text(out_.str());
+  std::map<std::string, std::set<std::string>> flags;
+  std::string line, command;
+  while (std::getline(usage_text, line)) {
+    if (line.size() > 2 && line.rfind("  ", 0) == 0 &&
+        std::islower(static_cast<unsigned char>(line[2]))) {
+      command = line.substr(2, line.find(' ', 2) - 2);  // "  train --model"
+    } else if (line.rfind("        ", 0) != 0) {
+      command.clear();  // a note, not a command's flag list
+    }
+    if (command.empty()) continue;
+    std::istringstream words(line);
+    std::string word;
+    while (words >> word) {
+      const auto start = word.find('-');
+      if (start == std::string::npos) continue;
+      const auto end = word.find_first_not_of("-abcdefghijklmnopqrstuvwxyz",
+                                              start);
+      const std::string name = word.substr(start, end - start);
+      if (name == "-n" || name.rfind("--", 0) == 0) flags[command].insert(name);
+    }
+    flags[command].insert("--metrics-out");
+  }
+  ASSERT_EQ(flags.size(), 9u);
+  EXPECT_TRUE(flags["cluster"].count("--wal-root"));
+  EXPECT_TRUE(flags["predict"].count("-n"));
+  const std::string missing = dir_ + "/absent";
+  for (const auto& [name, names] : flags) {
+    for (const auto& option : names) {
+      const std::string value = option == "--out"           ? missing
+                                : option == "--metrics-out" ? missing + ".prom"
+                                : option == "--format"      ? "prom"
+                                                            : "1";
+      run_cli({name, option, value});
+      EXPECT_EQ(err_.str().find("unknown option"), std::string::npos)
+          << name << " " << option << ": " << err_.str();
+    }
+  }
 }
 
 TEST_F(CliTest, PredictRejectsCorruptModel) {

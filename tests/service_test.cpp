@@ -7,6 +7,7 @@
 
 #include "common/serialize.hpp"
 #include "eval/harness.hpp"
+#include "obs/metrics.hpp"
 #include "pkg/dataset.hpp"
 #include "pkg/installer.hpp"
 #include "pkg/noise.hpp"
@@ -298,6 +299,48 @@ TEST_F(ServiceTest, FeedbackCardinalityMustMatchModelMode) {
   const std::string before = server.model().to_binary();
   EXPECT_THROW(server.learn_feedback(two), std::invalid_argument);
   EXPECT_EQ(server.model().to_binary(), before) << "model mutated on reject";
+}
+
+TEST_F(ServiceTest, RejectedFeedbackPublishesNothingAndStoresNothing) {
+  // Labels are validated before extraction and before the state lock, so a
+  // rejected call leaves no trace: no epoch, no stored tagset.
+  DiscoveryServer server(*model_, {});
+  server.learn_feedback(sample_changeset("nginx"));
+  const auto epoch = server.model().epoch();
+  const auto stored = server.store().size();
+  fs::Changeset two = sample_changeset("nginx");
+  two.add_label("redis");
+  EXPECT_THROW(server.learn_feedback(two), std::invalid_argument);
+  EXPECT_THROW(server.learn_feedback(sample_changeset("")),
+               std::invalid_argument);
+  EXPECT_EQ(server.model().epoch(), epoch);
+  EXPECT_EQ(server.store().size(), stored);
+}
+
+TEST_F(ServiceTest, SteadyFeedbackRefreshesSnapshotsInsteadOfCopying) {
+  // Each learn_feedback publishes an epoch. Once the epochs the server was
+  // built with are retired, every publish refreshes a recycled buffer at the
+  // slots the update wrote (praxi_ml_snapshot_full_copies_total).
+  pkg::DatasetBuilder builder(*catalog_, 13);
+  pkg::CollectOptions options;
+  options.samples_per_app = 2;
+  const auto dataset = builder.collect_dirty(options);
+  auto& registry = obs::MetricsRegistry::global();
+  registry.set_enabled(true);
+  DiscoveryServer server(*model_, {});
+  for (std::size_t i = 0; i < 2; ++i) {
+    server.learn_feedback(dataset.changesets[i]);
+  }
+  const auto full_before =
+      registry.counter_value("praxi_ml_snapshot_full_copies_total");
+  const auto epoch_before = server.model().epoch();
+  for (std::size_t i = 0; i < 200; ++i) {
+    server.learn_feedback(dataset.changesets[i % dataset.changesets.size()]);
+  }
+  EXPECT_EQ(server.model().epoch(), epoch_before + 200);
+  EXPECT_LE(registry.counter_value("praxi_ml_snapshot_full_copies_total") -
+                full_before,
+            1u);
 }
 
 TEST(ChangesetReport, PeekAgentIdSurvivesPayloadCorruption) {

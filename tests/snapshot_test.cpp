@@ -9,11 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -21,6 +26,7 @@
 
 #include "core/praxi.hpp"
 #include "eval/harness.hpp"
+#include "obs/metrics.hpp"
 #include "pkg/dataset.hpp"
 #include "service/server.hpp"
 #include "service/transport.hpp"
@@ -247,7 +253,13 @@ TEST(SnapshotConcurrency, EveryPredictionAttributableToOneEpoch) {
   }
 
   std::atomic<bool> done{false};
+  // The trainer starts once every reader is predicting, so the updates
+  // always race with readers however fast a publish is.
+  std::atomic<int> readers_started{0};
   std::thread trainer([&] {
+    while (readers_started.load(std::memory_order_acquire) < kReaders) {
+      std::this_thread::yield();
+    }
     for (int i = 0; i < kUpdates; ++i) {
       model.learn_one(stream[std::size_t(i) % stream.size()]);
       const auto snap = model.snapshot();  // the epoch just published
@@ -270,6 +282,9 @@ TEST(SnapshotConcurrency, EveryPredictionAttributableToOneEpoch) {
         last_epoch = snap->epoch();
         observed[std::size_t(r)].emplace_back(snap->epoch(),
                                               snap->predict_tags(probe));
+        if (observed[std::size_t(r)].size() == 1) {
+          readers_started.fetch_add(1, std::memory_order_release);
+        }
       }
     });
   }
@@ -289,6 +304,306 @@ TEST(SnapshotConcurrency, EveryPredictionAttributableToOneEpoch) {
     }
   }
   EXPECT_GT(observations, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// O(delta) publish: recycled weight buffers refreshed at the written slots
+// ---------------------------------------------------------------------------
+
+/// A snapshot's answers, floats compared by bit pattern: ranked() over
+/// every probe, or nothing for an untrained epoch.
+using Answers = std::vector<std::vector<std::pair<std::string, std::uint32_t>>>;
+
+Answers answers(const ModelSnapshot& snap,
+                const std::vector<columbus::TagSet>& probes) {
+  Answers out;
+  if (!snap.trained()) return out;
+  for (const auto& probe : probes) {
+    auto& row = out.emplace_back();
+    for (const auto& [label, score] : snap.ranked(probe)) {
+      row.emplace_back(label, std::bit_cast<std::uint32_t>(score));
+    }
+  }
+  return out;
+}
+
+/// What a full copy of the live model answers: the reference every epoch
+/// published at this point must match bit for bit.
+Answers reference(const Praxi& model,
+                  const std::vector<columbus::TagSet>& probes) {
+  return answers(*Praxi::from_binary(model.to_binary()).snapshot(), probes);
+}
+
+/// Whole-table copies made while `step` runs. Only the model under test may
+/// publish inside `step`: reference models publish too.
+template <typename Step>
+std::uint64_t full_copies_during(Step&& step) {
+  auto& registry = obs::MetricsRegistry::global();
+  const auto before =
+      registry.counter_value("praxi_ml_snapshot_full_copies_total");
+  step();
+  return registry.counter_value("praxi_ml_snapshot_full_copies_total") -
+         before;
+}
+
+/// One published epoch a reader still holds, with what it must answer.
+struct HeldEpoch {
+  ModelSnapshotPtr snap;
+  Answers expected;
+};
+
+class SnapshotDelta : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    const auto catalog = pkg::Catalog::subset(42, 8, 2);
+    pkg::DatasetBuilder builder(catalog, 9);
+    pkg::CollectOptions options;
+    options.samples_per_app = 3;
+    pkg::Dataset singles = builder.collect_dirty(options);
+    singles.refresh_labels();
+    const pkg::Dataset windows =
+        pkg::DatasetBuilder::synthesize_multi(singles, 12, 2, 4, 5);
+    columbus::Columbus columbus;
+    for (const pkg::Dataset* set : {&std::as_const(singles), &windows}) {
+      for (const auto& cs : set->changesets) {
+        tagsets_->push_back(columbus.extract(cs));
+        if (set == &singles) singles_->push_back(tagsets_->back());
+      }
+    }
+    for (const auto& ts : *tagsets_) probes_->push_back(unlabeled(ts));
+  }
+
+  void SetUp() override { obs::MetricsRegistry::global().set_enabled(true); }
+
+  /// Labeled examples for `mode`: every window in multi-label mode, the
+  /// single-application recordings in single-label mode.
+  static const std::vector<columbus::TagSet>& stream(LabelMode mode) {
+    return mode == LabelMode::kMultiLabel ? *tagsets_ : *singles_;
+  }
+
+  // Every tagset learned is also a probe (unlabeled), so a slot a refresh
+  // missed changes some probe's scores.
+  static inline auto* tagsets_ = new std::vector<columbus::TagSet>();
+  static inline auto* singles_ = new std::vector<columbus::TagSet>();
+  static inline auto* probes_ = new std::vector<columbus::TagSet>();
+};
+
+/// Drives `model` through a random interleaving of updates, manual
+/// publishes, reset()/train()/from_binary restores and readers holding up to
+/// two older epochs. After every step each held epoch must still answer
+/// what a full copy answered when it was published. Returns {publishes,
+/// whole-table copies}.
+std::pair<std::uint64_t, std::uint64_t> run_interleaving(
+    Praxi& model, const std::vector<columbus::TagSet>& stream,
+    const std::vector<columbus::TagSet>& probes, std::uint32_t seed,
+    int steps) {
+  std::mt19937 rng(seed);
+  std::vector<HeldEpoch> held;
+  std::uint64_t publishes = 0, full = 0;
+  std::uint64_t last_epoch = model.epoch();
+  std::size_t next = 0;
+  for (int step = 0; step < steps; ++step) {
+    const auto roll = rng() % 100;
+    full += full_copies_during([&] {
+      if (roll < 70) {
+        model.learn_one(stream[next++ % stream.size()]);
+      } else if (roll < 90) {
+        model.publish();
+      } else if (roll < 94) {
+        model.train({stream[next % stream.size()],
+                     stream[(next + 1) % stream.size()]});
+        next += 2;
+      } else if (roll < 97) {
+        model.reset();
+      } else {
+        const auto runtime = model.runtime();
+        model = Praxi::from_binary(model.to_binary());
+        model.set_runtime(runtime);
+      }
+    });
+    if (roll >= 97) last_epoch = 0;  // a restore restarts the epoch count
+    if (model.epoch() != last_epoch) {
+      ++publishes;
+      last_epoch = model.epoch();
+      // A reader may pin the new epoch; it holds at most two.
+      if (rng() % 2 == 0) {
+        held.push_back({model.snapshot(), reference(model, probes)});
+      }
+    }
+    while (held.size() > 2 || (!held.empty() && rng() % 2 == 0)) {
+      held.erase(held.begin() + static_cast<long>(rng() % held.size()));
+    }
+    for (const auto& epoch : held) {
+      EXPECT_EQ(answers(*epoch.snap, probes), epoch.expected)
+          << "epoch " << epoch.snap->epoch() << " changed at step " << step;
+    }
+  }
+  return {publishes, full};
+}
+
+TEST_F(SnapshotDelta, RandomInterleavingsMatchAFullCopy) {
+  for (const LabelMode mode : {LabelMode::kSingleLabel, LabelMode::kMultiLabel}) {
+    for (const std::size_t every : {1u, 3u, 0u}) {
+      SCOPED_TRACE("mode " + std::to_string(int(mode)) + " cadence " +
+                   std::to_string(every));
+      PraxiConfig config;
+      config.mode = mode;
+      config.runtime.snapshot_publish_every = every;
+      Praxi model(config);
+      model.train(stream(mode));
+      const auto [publishes, full] = run_interleaving(
+          model, stream(mode), *probes_,
+          static_cast<std::uint32_t>(every * 10 + std::size_t(mode)), 150);
+      EXPECT_GT(publishes, 20u);
+      // reset()/train()/restores copy in full, and so do the publish after
+      // one and any publish whose predecessor's buffer a reader still holds;
+      // the rest refresh.
+      EXPECT_LT(full, publishes)
+          << full << " whole-table copies in " << publishes << " publishes";
+    }
+  }
+}
+
+TEST_F(SnapshotDelta, SteadyCadenceOneCopiesTheTableOnlyAtTheStart) {
+  PraxiConfig config;
+  config.mode = LabelMode::kMultiLabel;
+  Praxi model(config);
+  model.train(*tagsets_);
+  std::uint64_t full = 0;
+  for (std::size_t i = 0; i < 40; ++i) {
+    full += full_copies_during(
+        [&] { model.learn_one((*tagsets_)[i % tagsets_->size()]); });
+    EXPECT_EQ(answers(*model.snapshot(), *probes_),
+              reference(model, *probes_))
+        << "update " << i;
+  }
+  // train() left the log empty: its publish and the next copy in full.
+  EXPECT_EQ(full, 1u);
+}
+
+TEST_F(SnapshotDelta, DivergingCopiesNeverShareBuffers) {
+  PraxiConfig config;
+  config.mode = LabelMode::kMultiLabel;
+  Praxi source(config);
+  source.train(*singles_);
+  Praxi copy(source);
+  std::mt19937 rng(3);
+  std::vector<std::pair<ModelSnapshotPtr, Answers>> held;
+  std::uint64_t full = 0;
+  for (std::size_t i = 0; i < 60; ++i) {
+    // The two learn different examples, and readers hold epochs of both,
+    // dropping them in a shuffled order across the two models.
+    Praxi& model = i % 2 == 0 ? source : copy;
+    const auto& example = (*tagsets_)[(i % 2 == 0 ? i : tagsets_->size() - 1 - i) %
+                                      tagsets_->size()];
+    full += full_copies_during([&] { model.learn_one(example); });
+    held.emplace_back(model.snapshot(), reference(model, *probes_));
+    std::shuffle(held.begin(), held.end(), rng);
+    while (held.size() > 3) held.pop_back();
+    for (const auto& [snap, expected] : held) {
+      EXPECT_EQ(answers(*snap, *probes_), expected) << "update " << i;
+    }
+  }
+  EXPECT_NE(source.to_binary(), copy.to_binary());
+  held.clear();
+  for (Praxi* model : {&source, &copy}) {
+    full += full_copies_during([&] { model->publish(); });
+    EXPECT_EQ(answers(*model->snapshot(), *probes_),
+              reference(*model, *probes_));
+  }
+  EXPECT_LT(full, 40u) << "readers held at most three epochs of 62";
+
+  // Copy-assigning drops the target's write log: its next publishes copy in
+  // full and still answer like the source.
+  copy = source;
+  full_copies_during([&] { copy.learn_one(tagsets_->front()); });
+  EXPECT_EQ(answers(*copy.snapshot(), *probes_), reference(copy, *probes_));
+}
+
+TEST_F(SnapshotDelta, LogCapFallsBackToAWholeCopy) {
+  PraxiConfig config;
+  config.mode = LabelMode::kMultiLabel;
+  config.runtime.snapshot_publish_every = 0;
+  Praxi model(config);
+  model.train(*tagsets_);
+  const auto publish = [&] {
+    const auto full = full_copies_during([&] { model.publish(); });
+    EXPECT_EQ(answers(*model.snapshot(), *probes_),
+              reference(model, *probes_));
+    return full;
+  };
+  publish();
+  publish();
+  ASSERT_EQ(publish(), 0u) << "steady state refreshes";
+  // 2^18 / 32 logged slots per interval; each update writes tens of slots
+  // for each of the classes, so a few hundred updates overflow the log.
+  for (std::size_t i = 0; i < 600; ++i) {
+    model.learn_one((*tagsets_)[i % tagsets_->size()]);
+  }
+  EXPECT_EQ(publish(), 1u) << "an overflowed interval copies in full";
+  model.learn_one(tagsets_->front());
+  EXPECT_EQ(publish(), 1u) << "so does the next: its refresh spans it";
+  model.learn_one(tagsets_->back());
+  EXPECT_EQ(publish(), 0u) << "then refreshes resume";
+}
+
+// A reader thread drops the last handle of retired epochs while the trainer
+// publishes, so buffers go back to the spare slot from another thread. The
+// trainer hands each epoch over through a queue instead of the reader
+// calling snapshot(), so this runs under gcc's ThreadSanitizer too
+// (tools/check.sh --tsan), where the atomic<shared_ptr> cell is opaque.
+TEST_F(SnapshotDelta, ReaderThreadReturnsBuffersWhileTrainerPublishes) {
+  constexpr std::size_t kUpdates = 80;
+  PraxiConfig config;
+  config.mode = LabelMode::kMultiLabel;
+  Praxi model(config);
+  model.train(*tagsets_);
+
+  std::mutex mutex;
+  std::condition_variable ready;
+  std::deque<HeldEpoch> queue;
+  bool done = false;
+  std::size_t checked = 0;
+
+  std::thread reader([&] {
+    std::mt19937 rng(11);
+    std::vector<HeldEpoch> held;
+    while (true) {
+      std::unique_lock<std::mutex> lock(mutex);
+      ready.wait(lock, [&] { return done || !queue.empty(); });
+      if (queue.empty()) break;
+      held.push_back(std::move(queue.front()));
+      queue.pop_front();
+      lock.unlock();
+      for (const auto& epoch : held) {
+        EXPECT_EQ(answers(*epoch.snap, *probes_), epoch.expected);
+        ++checked;
+      }
+      // Keep zero to two epochs and drop them in a shuffled order.
+      std::shuffle(held.begin(), held.end(), rng);
+      held.resize(std::min<std::size_t>(held.size(), rng() % 3));
+    }
+  });
+
+  std::uint64_t full = 0;
+  for (std::size_t i = 0; i < kUpdates; ++i) {
+    full += full_copies_during(
+        [&] { model.learn_one((*tagsets_)[i % tagsets_->size()]); });
+    HeldEpoch epoch{model.snapshot(), reference(model, *probes_)};
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      queue.push_back(std::move(epoch));
+    }
+    ready.notify_one();
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    done = true;
+  }
+  ready.notify_one();
+  reader.join();
+  EXPECT_GE(checked, kUpdates);
+  EXPECT_LT(full, kUpdates) << "some publishes must refresh a returned buffer";
 }
 
 // ---------------------------------------------------------------------------
