@@ -11,9 +11,10 @@
 // publish() timed apart at cadence 0. No reader holds an epoch, as in a
 // server whose process() drops its pinned epoch before the next publish.
 //
-// The claim under test: the predict hot path is one atomic acquire load plus
-// reads of frozen state — no lock, no rank — so its CPU cost per prediction
-// stays flat (within ~10%) whether or not a trainer is publishing. On a
+// The claim under test: the predict hot path is one pointer copy under the
+// snapshot cell's lock — held by a publish only for a pointer swap — plus
+// reads of frozen state, so its CPU cost per prediction stays flat (within
+// ~10%) whether or not a trainer is publishing. On a
 // single-vCPU box wall-clock per predict necessarily rises under contention
 // (the trainer steals the core), which is why both wall and per-thread CPU
 // time (CLOCK_THREAD_CPUTIME_ID) are reported. Publish latency comes from

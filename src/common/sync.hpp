@@ -40,18 +40,29 @@ enum class LockRank : int {
   /// call while every deeper layer (store, pool, registry, WAL, transport)
   /// is exercised.
   kServerState = 10,
-  /// TagsetStore contents. Acquired under kServerState at settle time.
+  /// TagsetStore contents. Acquired under kServerState by
+  /// learn_feedback(), which stores the labeled tagset; the settle path
+  /// never touches the store.
   kTagsetStore = 20,
   /// ThreadPool queue. Acquired by submit()/parallel_for under
   /// kServerState (batch classification inside process()) and, with no
   /// lock held, by ShardRouter's per-round fork-join over its shards.
   kThreadPool = 30,
-  /// Praxi model-snapshot publisher (core/model_snapshot.hpp): serializes
-  /// freeze-and-swap between concurrent publishers. Acquired under
+  /// Praxi model-snapshot publisher (core::SnapshotCell): serializes
+  /// freeze-and-swap between concurrent publishers, because the freeze
+  /// mutates the live learner's write log and spare buffer. Acquired under
   /// kServerState (learn_feedback publishes) but never under the pool lock
   /// (freezing spawns no tasks) and never while holding the WAL or any
-  /// deeper lock. Readers never take it — snapshot() is one atomic load.
+  /// deeper lock. Readers never take it — snapshot() takes only
+  /// kModelSnapshot.
   kModelPublish = 40,
+  /// The snapshot cell's current-epoch pointer (core::SnapshotCell):
+  /// snapshot() copies it and a publish swaps it, each under this lock and
+  /// nothing else. Readers take it holding at most lower-ranked locks
+  /// (kServerState in process()), publishers under kModelPublish. No lock
+  /// is ever acquired while it is held, and the retired epoch is dropped
+  /// after it is released.
+  kModelSnapshot = 45,
   /// WriteAheadLog append buffer + live segment. Acquired under
   /// kServerState on the settle path (docs/DURABILITY.md).
   kWal = 50,

@@ -2,9 +2,10 @@
 // the handle behind the serve-while-learn prediction API (docs/API.md).
 //
 // Praxi publishes a new snapshot after each learn batch (RCU-style: build a
-// frozen copy, then swap one atomic shared_ptr). Readers pin an epoch with
-// Praxi::snapshot() — a single acquire load, no lock, no rank — and predict
-// through it for as long as they hold the pointer: every prediction made
+// frozen copy, then swap the pointer in a SnapshotCell). Readers pin an
+// epoch with Praxi::snapshot() — a pointer copy under the cell's short
+// kModelSnapshot lock, never waiting for a freeze — and predict through it
+// for as long as they hold the pointer: every prediction made
 // through one handle is answered by exactly one published epoch, even while
 // the trainer keeps streaming SGD updates and publishing newer epochs.
 // Retired epochs are freed by the last reader's shared_ptr release; the
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "columbus/columbus.hpp"
+#include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 #include "core/top_n.hpp"
 #include "fs/changeset.hpp"
@@ -87,7 +89,7 @@ class ModelSnapshot {
     return hash_tagset_features(hasher_, tagset);
   }
 
-  // -- Prediction (zero locks: everything below reads frozen state) --------
+  // -- Prediction (no lock: everything below reads frozen state) ----------
 
   /// Top-n application labels (n is ignored and treated as 1 in
   /// single-label mode). Throws std::logic_error on an untrained epoch.
@@ -140,9 +142,57 @@ class ModelSnapshot {
   const ml::OnlineLearner learner_;
 };
 
-/// The handle readers hold. Pin once per batch of work (one acquire load),
+/// The handle readers hold. Pin once per batch of work (one pointer copy),
 /// predict freely, drop when done — the epoch stays alive exactly as long
 /// as someone can still predict through it.
 using ModelSnapshotPtr = std::shared_ptr<const ModelSnapshot>;
+
+/// The cell a Praxi publishes its epochs through (docs/CONCURRENCY.md).
+/// The current epoch is guarded by a ranked common::Mutex that only ever
+/// covers a pointer copy or swap, so readers never wait for a freeze;
+/// publishers also hold publish_mutex() across building the next epoch,
+/// because the freeze mutates the live learner. Both locks are visible to
+/// Thread Safety Analysis, the rank checker and ThreadSanitizer alike.
+/// Copying or moving a cell shares the source's current epoch under fresh
+/// locks.
+class SnapshotCell {
+ public:
+  SnapshotCell() = default;
+  SnapshotCell(const SnapshotCell& other) : current_(other.load()) {}
+  SnapshotCell& operator=(const SnapshotCell& other) {
+    exchange(other.load());
+    return *this;
+  }
+
+  /// Pins the current epoch (null before the first publish).
+  ModelSnapshotPtr load() const {
+    common::LockGuard lock(mutex_);
+    return current_;
+  }
+  /// Epoch of the current snapshot (0 before the first publish).
+  std::uint64_t epoch() const {
+    common::LockGuard lock(mutex_);
+    return current_ ? current_->epoch() : 0;
+  }
+
+  /// Serializes publishers (rank kModelPublish).
+  common::Mutex& publish_mutex() PRAXI_RETURN_CAPABILITY(publish_mutex_) {
+    return publish_mutex_;
+  }
+  /// Swaps `next` in and returns the retired epoch, so the caller drops it
+  /// after the cell lock is released.
+  ModelSnapshotPtr exchange(ModelSnapshotPtr next) {
+    common::LockGuard lock(mutex_);
+    current_.swap(next);
+    return next;
+  }
+
+ private:
+  common::Mutex publish_mutex_{"model_publish",
+                               common::LockRank::kModelPublish};
+  mutable common::Mutex mutex_{"model_snapshot",
+                               common::LockRank::kModelSnapshot};
+  ModelSnapshotPtr current_ PRAXI_GUARDED_BY(mutex_);
+};
 
 }  // namespace praxi::core

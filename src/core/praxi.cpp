@@ -4,6 +4,7 @@
 
 #include "common/serialize.hpp"
 #include "common/stopwatch.hpp"
+#include "common/sync.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 
@@ -99,62 +100,6 @@ Praxi::Praxi(PraxiConfig config, ml::OnlineLearner learner, bool trained)
   publish_snapshot();
 }
 
-Praxi::Praxi(const Praxi& other)
-    : config_(other.config_),
-      columbus_(other.columbus_),
-      hasher_(other.hasher_),
-      learner_(other.learner_),
-      overhead_(other.overhead_),
-      trained_(other.trained_),
-      pool_(other.pool_),
-      snapshot_(other.snapshot()),
-      epoch_(other.epoch()),
-      updates_since_publish_(other.updates_since_publish_) {}
-
-Praxi& Praxi::operator=(const Praxi& other) {
-  if (this == &other) return *this;
-  config_ = other.config_;
-  columbus_ = other.columbus_;
-  hasher_ = other.hasher_;
-  learner_ = other.learner_;
-  overhead_ = other.overhead_;
-  trained_ = other.trained_;
-  pool_ = other.pool_;
-  // The published epoch is immutable, so copies share it until one of them
-  // publishes again; each instance keeps its own mutex and cell.
-  snapshot_.store(other.snapshot(), std::memory_order_release);
-  epoch_.store(other.epoch(), std::memory_order_relaxed);
-  updates_since_publish_ = other.updates_since_publish_;
-  return *this;
-}
-
-Praxi::Praxi(Praxi&& other)
-    : config_(std::move(other.config_)),
-      columbus_(std::move(other.columbus_)),
-      hasher_(other.hasher_),
-      learner_(std::move(other.learner_)),
-      overhead_(other.overhead_),
-      trained_(other.trained_),
-      pool_(std::move(other.pool_)),
-      snapshot_(other.snapshot()),
-      epoch_(other.epoch()),
-      updates_since_publish_(other.updates_since_publish_) {}
-
-Praxi& Praxi::operator=(Praxi&& other) {
-  if (this == &other) return *this;
-  config_ = std::move(other.config_);
-  columbus_ = std::move(other.columbus_);
-  hasher_ = other.hasher_;
-  learner_ = std::move(other.learner_);
-  overhead_ = other.overhead_;
-  trained_ = other.trained_;
-  pool_ = std::move(other.pool_);
-  snapshot_.store(other.snapshot(), std::memory_order_release);
-  epoch_.store(other.epoch(), std::memory_order_relaxed);
-  updates_since_publish_ = other.updates_since_publish_;
-  return *this;
-}
-
 void Praxi::set_num_threads(std::size_t num_threads) {
   if (num_threads == config_.runtime.num_threads) return;
   config_.runtime.num_threads = num_threads;
@@ -193,18 +138,16 @@ ModelSnapshotPtr Praxi::publish_snapshot() {
   // label space, and its weights are a buffer recycled from a dropped epoch
   // refreshed at the slots SGD wrote since (a whole-table copy only when no
   // such buffer is free), so readers of older epochs are untouched; the
-  // swap is one atomic release exchange — readers pin epochs wait-free
-  // throughout.
-  common::LockGuard lock(publish_mutex_);
+  // swap holds the cell lock for a pointer swap only, so readers pinning
+  // epochs never wait for the freeze.
+  common::LockGuard lock(cell_.publish_mutex());
   Stopwatch timer;
-  const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed) + 1;
+  const std::uint64_t epoch = cell_.epoch() + 1;
   bool full_copy = false;
   auto snap = std::make_shared<const ModelSnapshot>(
       epoch, config_.mode, trained_, columbus_, hasher_,
       learner_.freeze(full_copy));
-  ModelSnapshotPtr retired =
-      snapshot_.exchange(snap, std::memory_order_acq_rel);
-  epoch_.store(epoch, std::memory_order_relaxed);
+  const ModelSnapshotPtr retired = cell_.exchange(snap);
   updates_since_publish_ = 0;
 
   auto& instruments = snapshot_instruments();

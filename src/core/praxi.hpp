@@ -15,18 +15,17 @@
 //
 // Serve-while-learn (docs/API.md, docs/CONCURRENCY.md): prediction goes
 // through immutable, refcounted ModelSnapshots. Every learn batch ends by
-// publishing a new epoch — build a frozen copy of the model, swap one
-// atomic shared_ptr (RCU-style). The frozen copy shares the Columbus
-// extractor and the label space, and refreshes a weight buffer recycled
-// from an epoch readers have dropped at only the slots SGD wrote since, so
-// a publish costs O(delta), not a copy of the whole weight table.
-// snapshot() pins the current epoch with a single acquire load, so any
-// number of predict threads read a consistent model with zero locks on the
-// hot path while learn_one()/train() keep mutating the live weights. All prediction goes through snapshot() — the
-// deprecated direct-predict shims from PR 9 are gone (docs/API.md).
+// publishing a new epoch — build a frozen copy of the model, swap the
+// pointer in the SnapshotCell (RCU-style). The frozen copy shares the
+// Columbus extractor and the label space, and refreshes a weight buffer
+// recycled from an epoch readers have dropped at only the slots SGD wrote
+// since, so a publish costs O(delta), not a copy of the whole weight table.
+// snapshot() pins the current epoch with one pointer copy under the cell's
+// short lock, so any number of predict threads read a consistent model,
+// never waiting for a freeze, while learn_one()/train() keep mutating the
+// live weights. All prediction goes through snapshot() (docs/API.md).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -37,7 +36,6 @@
 
 #include "columbus/columbus.hpp"
 #include "common/runtime_config.hpp"
-#include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 #include "core/model_snapshot.hpp"
 #include "core/top_n.hpp"
@@ -70,20 +68,14 @@ struct PraxiOverhead {
   std::size_t model_bytes = 0;
 };
 
+/// Copying a trained Praxi copies the model (and shares the thread pool and
+/// the immutable Columbus extractor); the copy starts at the source's
+/// current epoch and publishes independently from there, never recycling
+/// the source's weight buffers. Copy and move are the implicit members: the
+/// SnapshotCell gives each copy its own locks.
 class Praxi {
  public:
   explicit Praxi(PraxiConfig config = {});
-
-  /// Copying a trained Praxi copies the model (and shares the thread pool
-  /// and the immutable Columbus extractor); the copy starts at the source's
-  /// current epoch and publishes independently from there, never recycling
-  /// the source's weight buffers. Hand-written because the snapshot cell
-  /// (atomic) and the publish mutex are not copyable themselves.
-  Praxi(const Praxi& other);
-  Praxi& operator=(const Praxi& other);
-  Praxi(Praxi&& other);
-  Praxi& operator=(Praxi&& other);
-  ~Praxi() = default;
 
   // -- Feature path --------------------------------------------------------
 
@@ -118,12 +110,11 @@ class Praxi {
 
   // -- Prediction (the snapshot surface, docs/API.md) ----------------------
 
-  /// Pins the current published epoch: one atomic acquire load, no lock.
-  /// Predict through the returned handle — everything it answers comes from
-  /// exactly that epoch, no matter how much learning happens meanwhile.
-  ModelSnapshotPtr snapshot() const {
-    return snapshot_.load(std::memory_order_acquire);
-  }
+  /// Pins the current published epoch: one pointer copy under the cell
+  /// lock, which a publish holds only for a pointer swap. Predict through
+  /// the returned handle — everything it answers comes from exactly that
+  /// epoch, no matter how much learning happens meanwhile.
+  ModelSnapshotPtr snapshot() const { return cell_.load(); }
 
   /// Freezes the live model into a new epoch and swaps it in, immediately.
   /// Usually implicit (train()/learn_one() publish per the cadence knob);
@@ -136,7 +127,7 @@ class Praxi {
 
   /// Epoch counter of the most recently published snapshot (0 = never — not
   /// observable in practice: construction publishes epoch 1).
-  std::uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
+  std::uint64_t epoch() const { return cell_.epoch(); }
 
   /// SGD updates applied since the last publish (staleness of the current
   /// snapshot relative to the live weights).
@@ -178,7 +169,7 @@ class Praxi {
   /// restored weights) and publishes it as epoch 1.
   Praxi(PraxiConfig config, ml::OnlineLearner learner, bool trained);
 
-  /// Freeze + atomic swap under the publish lock; updates the
+  /// Freeze + cell swap under the publish lock; updates the
   /// praxi_ml_snapshot_* instruments and re-syncs the learner occupancy
   /// gauges so they cannot drift across epoch swaps.
   ModelSnapshotPtr publish_snapshot();
@@ -196,14 +187,8 @@ class Praxi {
   /// one pool instead of spawning workers per copy.
   std::shared_ptr<ThreadPool> pool_;
 
-  /// The RCU cell. Writers (publish_snapshot) store with release under
-  /// publish_mutex_; readers (snapshot()) acquire-load with no lock.
-  std::atomic<ModelSnapshotPtr> snapshot_;
-  /// Serializes publishers only — never taken on the predict path
-  /// (docs/CONCURRENCY.md, rank kModelPublish).
-  mutable common::Mutex publish_mutex_{"model_publish",
-                                       common::LockRank::kModelPublish};
-  std::atomic<std::uint64_t> epoch_{0};
+  /// The RCU cell and the one source of the current epoch.
+  SnapshotCell cell_;
   std::uint64_t updates_since_publish_ = 0;
 };
 

@@ -7,7 +7,7 @@
 // collection of tagset texts, saved to one file.
 //
 // Thread-safe: every accessor serializes on an internal mutex (rank
-// kTagsetStore — acquired under the server state lock on the settle path;
+// kTagsetStore — acquired under the server state lock by learn_feedback();
 // docs/CONCURRENCY.md), so concurrent add() and save() interleave cleanly.
 #pragma once
 

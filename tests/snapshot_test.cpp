@@ -4,7 +4,7 @@
 // against the legacy shims and against a sequential model, reader/trainer
 // concurrency with per-epoch attribution, and the server's pinned-epoch
 // contract. tools/check.sh --tsan rebuilds this binary under
-// ThreadSanitizer to prove the lock-free hot path race-free.
+// ThreadSanitizer to prove the predict path race-free.
 #include "core/model_snapshot.hpp"
 
 #include <gtest/gtest.h>
@@ -134,29 +134,69 @@ TEST(Snapshot, PublishEveryZeroIsManual) {
 }
 
 TEST(Snapshot, CopyAndMovePreserveTheSnapshotCell) {
+  const auto probe = unlabeled(make_tagset("alpha"));
+  // The target of a copy or move serves the epoch the source served, reads
+  // epoch() from that one cell, and publishes on its own from there.
+  const auto expect_takes_over = [&](Praxi& target, const Praxi& source,
+                                     std::uint64_t epoch,
+                                     const std::vector<std::string>& answer) {
+    ASSERT_NE(target.snapshot(), nullptr);
+    EXPECT_EQ(target.epoch(), epoch);
+    EXPECT_EQ(target.snapshot()->epoch(), epoch);
+    EXPECT_EQ(target.snapshot()->predict_tags(probe), answer);
+    target.learn_one(make_tagset("gamma"));
+    EXPECT_EQ(target.epoch(), epoch + 1);
+    EXPECT_EQ(target.snapshot()->epoch(), epoch + 1);
+    EXPECT_EQ(source.epoch(), epoch)
+        << "the source must not see the target's epoch";
+  };
+  // A target with published epochs of its own, more than the source's.
+  const auto busy_model = [] {
+    Praxi model;
+    for (const char* app : {"delta", "epsilon", "zeta", "eta"}) {
+      model.learn_one(make_tagset(app));
+    }
+    return model;
+  };
+
   Praxi model;
   model.learn_one(make_tagset("alpha"));
   model.learn_one(make_tagset("beta"));
-  const auto probe = unlabeled(make_tagset("alpha"));
   const auto expected = model.snapshot()->predict_tags(probe);
   const auto epoch = model.epoch();
 
   Praxi copy(model);
-  ASSERT_NE(copy.snapshot(), nullptr);
-  EXPECT_EQ(copy.epoch(), epoch);
-  EXPECT_EQ(copy.snapshot()->predict_tags(probe), expected);
-
-  copy.learn_one(make_tagset("gamma"));  // copies publish independently
-  EXPECT_EQ(copy.epoch(), epoch + 1);
-  EXPECT_EQ(model.epoch(), epoch) << "the source must not see the copy's epoch";
+  expect_takes_over(copy, model, epoch, expected);
 
   const ModelSnapshot* raw = copy.snapshot().get();
   const auto copy_prediction = copy.snapshot()->predict_tags(probe);
-  const Praxi moved(std::move(copy));
-  ASSERT_NE(moved.snapshot(), nullptr);
-  EXPECT_EQ(moved.snapshot().get(), raw);
-  EXPECT_EQ(moved.epoch(), epoch + 1);
-  EXPECT_EQ(moved.snapshot()->predict_tags(probe), copy_prediction);
+  Praxi moved(std::move(copy));
+  EXPECT_EQ(moved.snapshot().get(), raw) << "a move keeps the epoch object";
+  // Moving the cell copies the pointer, so the moved-from model keeps its
+  // epoch.
+  expect_takes_over(moved, copy, epoch + 1, copy_prediction);
+
+  Praxi copy_assigned = busy_model();
+  ASSERT_GT(copy_assigned.epoch(), epoch);
+  copy_assigned = model;
+  EXPECT_EQ(copy_assigned.snapshot().get(), model.snapshot().get());
+  expect_takes_over(copy_assigned, model, epoch, expected);
+
+  Praxi move_assigned = busy_model();
+  Praxi donor(model);
+  move_assigned = std::move(donor);
+  EXPECT_EQ(move_assigned.snapshot().get(), model.snapshot().get());
+  expect_takes_over(move_assigned, donor, epoch, expected);
+
+  // Self copy-assignment keeps the model and its epoch.
+  const Praxi& self = model;
+  model = self;
+  EXPECT_EQ(model.epoch(), epoch);
+  EXPECT_EQ(model.snapshot()->epoch(), epoch);
+  EXPECT_EQ(model.snapshot()->predict_tags(probe), expected);
+  model.learn_one(make_tagset("gamma"));
+  EXPECT_EQ(model.epoch(), epoch + 1);
+  EXPECT_EQ(model.snapshot()->epoch(), epoch + 1);
 }
 
 TEST(Snapshot, UntrainedEpochRefusesToPredict) {
@@ -230,8 +270,8 @@ TEST_F(SnapshotDeterminismTest, PublishCadenceNeverChangesTheModel) {
 // attributable to exactly one published epoch: the trainer records what each
 // epoch answers for a fixed probe, readers record what they saw, and the two
 // tables must agree. Under tools/check.sh --tsan this same binary runs
-// under ThreadSanitizer, proving the hot path takes no lock and races with
-// nothing.
+// under ThreadSanitizer, proving that every epoch hand-over goes through
+// the snapshot cell's lock and that predicting races with nothing.
 TEST(SnapshotConcurrency, EveryPredictionAttributableToOneEpoch) {
   constexpr int kReaders = 4;
   constexpr int kUpdates = 150;
@@ -549,9 +589,9 @@ TEST_F(SnapshotDelta, LogCapFallsBackToAWholeCopy) {
 
 // A reader thread drops the last handle of retired epochs while the trainer
 // publishes, so buffers go back to the spare slot from another thread. The
-// trainer hands each epoch over through a queue instead of the reader
-// calling snapshot(), so this runs under gcc's ThreadSanitizer too
-// (tools/check.sh --tsan), where the atomic<shared_ptr> cell is opaque.
+// trainer hands each epoch over through a queue, so the reader holds and
+// drops epochs in an order of its own (tools/check.sh --tsan runs this
+// under ThreadSanitizer).
 TEST_F(SnapshotDelta, ReaderThreadReturnsBuffersWhileTrainerPublishes) {
   constexpr std::size_t kUpdates = 80;
   PraxiConfig config;

@@ -23,8 +23,7 @@
 #   tools/check.sh --tsan      ThreadSanitizer pass over the concurrency
 #                              tests: metrics registry, socket transport,
 #                              WAL + restart/ingest, serve-while-learn
-#                              snapshots, sharded cluster (clang, or gcc
-#                              minus the snapshot-cell suite)
+#                              snapshots, sharded cluster (gcc or clang)
 #
 # Lane flags can be combined (e.g. `--lint --tsa`). Every run ends with a
 # summary table: which lanes ran, which were skipped, which failed.
@@ -143,38 +142,27 @@ run_bench_smoke() {
 run_tsan() {
   # TSan proves the absence of data races, not just the absence of wrong
   # answers, so it runs over every suite that hammers a concurrency
-  # promise, in one build-tsan tree:
+  # promise, in one build-tsan tree, on whatever compiler builds it:
   #   obs_test       lock-free metric updates vs concurrent collect/render
   #   net_test       per-connection reader threads + accept loop draining
   #                  into one bounded queue while clients push
-  #   wal_test,      the deepest lock nesting (server state -> store ->
-  #   transport_test pool -> registry -> WAL) through restarts and
+  #   wal_test,      the settle path's lock nesting (server state -> WAL
+  #   transport_test -> metrics registry) through restarts and
   #                  at-least-once redelivery (FaultMatrixTest)
-  #   snapshot_test  predict threads reading frozen snapshots while the
-  #                  trainer publishes epochs (zero locks on that path)
+  #   snapshot_test  predict threads pinning epochs through the snapshot
+  #                  cell while the trainer publishes
   #   cluster_test   the router's per-round fork-join over its shard pools,
   #                  fed by socket agents through one frontend
-  # clang runs every suite. gcc (libstdc++) runs them all but the
-  # SnapshotConcurrency suite: libstdc++ implements the model's
-  # std::atomic<std::shared_ptr> snapshot cell with an internal lock bit
-  # TSan cannot see, so gcc TSan reports its load/exchange pair as a race
-  # (ROADMAP item 5 replaces that cell).
-  local compiler=() snapshot_filter='*'
-  if command -v clang++ >/dev/null; then
-    compiler=(-DCMAKE_CXX_COMPILER=clang++ -DCMAKE_C_COMPILER=clang)
-  else
-    snapshot_filter='-SnapshotConcurrency.*'
-  fi
   note "ThreadSanitizer: obs, net, wal, transport FaultMatrix, snapshot, \
-cluster ShardRouter (snapshot filter: $snapshot_filter)"
-  cmake -B build-tsan -S . -DPRAXI_SANITIZE=thread "${compiler[@]}" >/dev/null
+cluster ShardRouter"
+  cmake -B build-tsan -S . -DPRAXI_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target obs_test net_test wal_test \
     transport_test snapshot_test cluster_test
   ./build-tsan/tests/obs_test
   ./build-tsan/tests/net_test
   ./build-tsan/tests/wal_test
   ./build-tsan/tests/transport_test --gtest_filter='FaultMatrixTest.*'
-  ./build-tsan/tests/snapshot_test --gtest_filter="$snapshot_filter"
+  ./build-tsan/tests/snapshot_test
   ./build-tsan/tests/cluster_test --gtest_filter='ShardRouterTest.*'
 }
 
