@@ -209,8 +209,8 @@ int main(int argc, char** argv) {
   const std::uint64_t processed = settled();
   auto& histogram = obs::MetricsRegistry::global().histogram(
       "praxi_cluster_settle_seconds",
-      "Route-to-settle latency through the owning shard (queue wait + "
-      "classification + WAL fsync).",
+      "Latency from the start of the round's routing to the owning shard's "
+      "settle of a frame (routing + classification + WAL fsync).",
       obs::latency_buckets());
   const auto stats = router.stats();
   const auto merged = router.merge_now();

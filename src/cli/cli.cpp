@@ -1,13 +1,19 @@
 #include "cli/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <map>
+#include <memory>
+#include <optional>
 #include <ostream>
 #include <span>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 
 #include "cluster/shard_router.hpp"
 #include "common/runtime_config.hpp"
@@ -23,6 +29,35 @@
 
 namespace praxi::cli {
 namespace {
+
+/// A flag value no command can use; run() refuses it with exit 2.
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
+/// The one checked parse of a numeric flag value: all of `text` must be a
+/// T in range — no sign on an unsigned T, no trailing junk, no wrap-around
+/// — and a floating-point value must be finite and non-negative. `flag`
+/// names the flag in the refusal.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  bool valid = error == std::errc() && stop == end;
+  if constexpr (std::is_floating_point_v<T>) {
+    valid = valid && std::isfinite(value) && value >= 0;
+    if (!valid) {
+      throw UsageError(flag + " must be a non-negative number, got '" + text +
+                       "'");
+    }
+  } else if (!valid) {
+    throw UsageError(flag + " must be an integer in [0, " +
+                     std::to_string(std::numeric_limits<T>::max()) +
+                     "], got '" + text + "'");
+  }
+  return value;
+}
 
 /// Minimal option parser: --key value / --key=value / switches /
 /// positionals. A switch (`--append`) never takes the next argument as its
@@ -64,6 +99,13 @@ struct Options {
   }
 
   bool has(const std::string& key) const { return named.count(key) > 0; }
+
+  /// The numeric flag's value (parse_number), or `fallback` when absent.
+  template <typename T>
+  T number(const std::string& key, T fallback) const {
+    if (!has(key)) return fallback;
+    return parse_number<T>(key == "n" ? "-n" : "--" + key, get(key, ""));
+  }
 };
 
 int usage(std::ostream& err) {
@@ -120,9 +162,9 @@ std::string render_registry(bool json) {
 /// last so the command line wins (common/runtime_config.hpp precedence).
 common::RuntimeConfig runtime_from_options(const Options& options) {
   common::RuntimeConfig runtime;
-  runtime.num_threads = std::stoul(options.get("threads", "1"));
-  runtime.snapshot_publish_every = std::stoul(options.get(
-      "snapshot-every", std::to_string(runtime.snapshot_publish_every)));
+  runtime.num_threads = options.number<std::size_t>("threads", 1);
+  runtime.snapshot_publish_every = options.number(
+      "snapshot-every", runtime.snapshot_publish_every);
   return runtime;
 }
 
@@ -161,9 +203,9 @@ int cmd_demo_corpus(const Options& options, std::ostream& out,
     return 2;
   }
   const std::string dir = options.get("out", "");
-  const auto apps = std::stoul(options.get("apps", "8"));
-  const auto samples = std::stoul(options.get("samples", "4"));
-  const auto seed = std::stoull(options.get("seed", "42"));
+  const auto apps = options.number<std::size_t>("apps", 8);
+  const auto samples = options.number<std::size_t>("samples", 4);
+  const auto seed = options.number<std::uint64_t>("seed", 42);
 
   std::filesystem::create_directories(dir);
   const auto catalog =
@@ -207,6 +249,7 @@ int cmd_train(const Options& options, std::ostream& out, std::ostream& err) {
     return 2;
   }
   const std::string model_path = options.get("model", "");
+  const common::RuntimeConfig runtime = runtime_from_options(options);
 
   core::Praxi model = [&] {
     if (options.has("append")) {
@@ -218,7 +261,7 @@ int cmd_train(const Options& options, std::ostream& out, std::ostream& err) {
                                        : core::LabelMode::kSingleLabel;
     return core::Praxi(config);
   }();
-  model.set_runtime(runtime_from_options(options));
+  model.set_runtime(runtime);
 
   std::vector<fs::Changeset> changesets;
   changesets.reserve(options.positional.size());
@@ -248,9 +291,10 @@ int cmd_predict(const Options& options, std::ostream& out,
     err << "predict: --model M and at least one changeset file required\n";
     return 2;
   }
+  const common::RuntimeConfig runtime = runtime_from_options(options);
+  const auto n = options.number<std::size_t>("n", 1);
   core::Praxi model = load_model(options.get("model", ""));
-  model.set_runtime(runtime_from_options(options));
-  const auto n = std::stoul(options.get("n", "1"));
+  model.set_runtime(runtime);
 
   // All files become one batch: the engine classifies them concurrently
   // when --threads asks for workers, in input order either way.
@@ -286,9 +330,10 @@ int cmd_stats(const Options& options, std::ostream& out, std::ostream& err) {
       err << "stats: --model M required when changeset files are given\n";
       return 2;
     }
+    const common::RuntimeConfig runtime = runtime_from_options(options);
+    const auto n = options.number<std::size_t>("n", 1);
     core::Praxi model = load_model(options.get("model", ""));
-    model.set_runtime(runtime_from_options(options));
-    const auto n = std::stoul(options.get("n", "1"));
+    model.set_runtime(runtime);
     std::vector<fs::Changeset> changesets;
     changesets.reserve(options.positional.size());
     for (const auto& path : options.positional) {
@@ -325,36 +370,72 @@ int cmd_inspect(const Options& options, std::ostream& out,
 /// `serve` and `cluster` run until a stop bound: --max-reports N processed
 /// reports or --duration-s S seconds, whichever comes first. One of them is
 /// mandatory — an unbounded server belongs in an init system, not a CLI.
-bool has_stop_bound(const Options& options, const char* command,
-                    std::ostream& err) {
-  if (options.has("max-reports") || options.has("duration-s")) return true;
-  err << command
-      << ": a stop bound is required: --max-reports N or --duration-s S\n";
-  return false;
+struct StopBound {
+  std::optional<std::uint64_t> max_reports;
+  std::optional<double> duration_s;
+};
+
+/// The command's stop bound, or nullopt after saying that it has none.
+std::optional<StopBound> stop_bound(const Options& options,
+                                    const char* command, std::ostream& err) {
+  if (!options.has("max-reports") && !options.has("duration-s")) {
+    err << command
+        << ": a stop bound is required: --max-reports N or --duration-s S\n";
+    return std::nullopt;
+  }
+  StopBound bound;
+  if (options.has("max-reports")) {
+    bound.max_reports = options.number<std::uint64_t>("max-reports", 0);
+  }
+  if (options.has("duration-s")) {
+    bound.duration_s = options.number("duration-s", 0.0);
+  }
+  return bound;
 }
 
 /// Calls `round` (one process() pass, returning its discoveries) every
-/// 5 ms until `processed()` reaches --max-reports or --duration-s elapses,
-/// counting from this call. Returns the discoveries the rounds made.
+/// 5 ms until `processed()` reaches the bound's report count or its
+/// duration elapses, counting from this call. Returns the discoveries the
+/// rounds made.
 template <typename Round, typename Processed>
-std::size_t run_until_stop_bound(const Options& options, Round round,
+std::size_t run_until_stop_bound(const StopBound& bound, Round round,
                                  Processed processed) {
-  const bool has_max = options.has("max-reports");
-  const bool has_duration = options.has("duration-s");
-  const std::uint64_t max_reports =
-      has_max ? std::stoull(options.get("max-reports", "0")) : 0;
   const auto deadline =
       std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(static_cast<std::int64_t>(
-          std::stod(options.get("duration-s", "0")) * 1e3));
+      std::chrono::milliseconds(
+          static_cast<std::int64_t>(bound.duration_s.value_or(0.0) * 1e3));
   std::size_t discoveries = 0;
   while (true) {
     discoveries += round();
-    if (has_max && processed() >= max_reports) break;
-    if (has_duration && std::chrono::steady_clock::now() >= deadline) break;
+    if (bound.max_reports && processed() >= *bound.max_reports) break;
+    if (bound.duration_s && std::chrono::steady_clock::now() >= deadline) {
+      break;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return discoveries;
+}
+
+/// The loopback frontend `serve` and `cluster` share: listens on `port`
+/// (0 = ephemeral) with `transport`'s knobs, writes the chosen port to
+/// --port-file, and prints "<prefix>listening on 127.0.0.1:<port>".
+std::unique_ptr<net::SocketServer> open_frontend(
+    const Options& options, std::uint16_t port,
+    const service::TransportConfig& transport, const std::string& prefix,
+    std::ostream& out) {
+  net::SocketServerConfig config;
+  config.port = port;
+  config.transport = transport;
+  auto frontend = std::make_unique<net::SocketServer>(config);
+  if (options.has("port-file")) {
+    // Ephemeral rendezvous file (lets scripts discover the --port 0
+    // ephemeral choice); regenerable, torn writes are harmless.
+    // praxi-lint: allow(raw-write)
+    write_file(options.get("port-file", ""),
+               std::to_string(frontend->port()) + "\n");
+  }
+  out << prefix << "listening on 127.0.0.1:" << frontend->port() << "\n";
+  return frontend;
 }
 
 /// Loopback discovery service: DiscoveryServer draining a net::SocketServer
@@ -364,42 +445,32 @@ int cmd_serve(const Options& options, std::ostream& out, std::ostream& err) {
     err << "serve: --model M required\n";
     return 2;
   }
-  if (!has_stop_bound(options, "serve", err)) return 2;
+  const auto bound = stop_bound(options, "serve", err);
+  if (!bound) return 2;
 
   // Transport knobs follow docs/API.md precedence: struct defaults, then
   // the command line (applied last, so it wins).
   service::ServerConfig config;
   config.runtime = runtime_from_options(options);
-  config.transport.queue_bound = std::stoul(
-      options.get("queue-bound", std::to_string(config.transport.queue_bound)));
+  config.transport.queue_bound =
+      options.number("queue-bound", config.transport.queue_bound);
   config.wal_dir = options.get("wal-dir", "");
+  const auto port = options.number<std::uint16_t>("port", 0);
   // Constructing the server replays the WAL (when --wal-dir is set), so
   // every agent's dedup floor is restored strictly BEFORE the listener
   // below starts accepting frames (docs/DURABILITY.md).
   service::DiscoveryServer server(load_model(options.get("model", "")),
                                   config);
 
-  net::SocketServerConfig socket_config;
-  socket_config.port =
-      static_cast<std::uint16_t>(std::stoul(options.get("port", "0")));
-  socket_config.transport = config.transport;
-  net::SocketServer transport(socket_config);
-
-  if (options.has("port-file")) {
-    // Ephemeral rendezvous file (lets scripts discover the --port 0
-    // ephemeral choice); regenerable, torn writes are harmless.
-    // praxi-lint: allow(raw-write)
-    write_file(options.get("port-file", ""),
-               std::to_string(transport.port()) + "\n");
-  }
-  out << "listening on 127.0.0.1:" << transport.port() << "\n";
+  const auto transport =
+      open_frontend(options, port, config.transport, "", out);
 
   std::size_t discoveries = run_until_stop_bound(
-      options, [&] { return server.process(transport).size(); },
+      *bound, [&] { return server.process(*transport).size(); },
       [&] { return server.processed(); });
-  transport.close();
+  transport->close();
   // Settle anything that arrived while shutting down.
-  discoveries += server.process(transport).size();
+  discoveries += server.process(*transport).size();
 
   const auto totals = server.totals();
   out << "processed " << totals.processed << " reports from "
@@ -424,37 +495,28 @@ int cmd_cluster(const Options& options, std::ostream& out, std::ostream& err) {
     err << "cluster: --model M required\n";
     return 2;
   }
-  if (!has_stop_bound(options, "cluster", err)) return 2;
+  const auto bound = stop_bound(options, "cluster", err);
+  if (!bound) return 2;
 
   cluster::ClusterConfig config;
-  config.shards = std::stoul(options.get("shards", "2"));
+  config.shards = options.number<std::size_t>("shards", 2);
   if (config.shards == 0) {
     err << "cluster: --shards must be >= 1\n";
     return 2;
   }
   config.server.runtime = runtime_from_options(options);
-  config.server.transport.queue_bound = std::stoul(options.get(
-      "queue-bound", std::to_string(config.server.transport.queue_bound)));
+  config.server.transport.queue_bound =
+      options.number("queue-bound", config.server.transport.queue_bound);
   config.wal_root = options.get("wal-root", "");
+  const auto port = options.number<std::uint16_t>("port", 0);
   // Constructing the router replays every shard's WAL (when --wal-root is
   // set) strictly BEFORE the frontend below starts accepting frames, the
   // same ordering contract as `serve` (docs/DURABILITY.md).
   cluster::ShardRouter router(load_model(options.get("model", "")), config);
 
-  net::SocketServerConfig socket_config;
-  socket_config.port =
-      static_cast<std::uint16_t>(std::stoul(options.get("port", "0")));
-  socket_config.transport = config.server.transport;
-  net::SocketServer frontend(socket_config);
-
-  if (options.has("port-file")) {
-    // Ephemeral rendezvous file; regenerable, torn writes are harmless.
-    // praxi-lint: allow(raw-write)
-    write_file(options.get("port-file", ""),
-               std::to_string(frontend.port()) + "\n");
-  }
-  out << router.shard_count() << "-shard cluster listening on 127.0.0.1:"
-      << frontend.port() << "\n";
+  const auto frontend = open_frontend(
+      options, port, config.server.transport,
+      std::to_string(router.shard_count()) + "-shard cluster ", out);
 
   const auto processed = [&router] {
     std::uint64_t total = 0;
@@ -464,10 +526,10 @@ int cmd_cluster(const Options& options, std::ostream& out, std::ostream& err) {
     return total;
   };
   std::size_t discoveries = run_until_stop_bound(
-      options, [&] { return router.process(frontend).size(); }, processed);
-  frontend.close();
+      *bound, [&] { return router.process(*frontend).size(); }, processed);
+  frontend->close();
   // Settle anything that arrived while shutting down.
-  discoveries += router.process(frontend).size();
+  discoveries += router.process(*frontend).size();
 
   const auto stats = router.stats();
   const auto merged = router.merge_now();
@@ -502,13 +564,12 @@ int cmd_report(const Options& options, std::ostream& out, std::ostream& err) {
     err << "report: --connect expects HOST:PORT, got '" << endpoint << "'\n";
     return 2;
   }
-  const auto timeout_ms =
-      static_cast<std::uint32_t>(std::stoul(options.get("timeout-ms", "5000")));
+  const auto timeout_ms = options.number<std::uint32_t>("timeout-ms", 5000);
 
   net::SocketClientConfig config;
   config.host = endpoint.substr(0, colon);
   config.port =
-      static_cast<std::uint16_t>(std::stoul(endpoint.substr(colon + 1)));
+      parse_number<std::uint16_t>("--connect port", endpoint.substr(colon + 1));
   config.client_id = options.get("agent", "cli-agent");
   config.transport.connect_timeout_ms = timeout_ms;
   net::SocketClient client(config);
@@ -606,6 +667,9 @@ int run(const std::vector<std::string>& argv, std::ostream& out,
     const int rc = it->handler(options, out, err);
     if (rc == 0) maybe_dump_metrics(options);
     return rc;
+  } catch (const UsageError& e) {
+    err << command << ": " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     err << command << ": " << e.what() << "\n";
     return 1;

@@ -5,8 +5,8 @@
 // out. The workload shards cleanly by agent — every exactly-once structure
 // (SequenceTracker, WAL, inventory) is keyed by agent_id — so the cluster
 // is N fully independent DiscoveryServer shards, each with its own model
-// snapshot cell, ingest queue, and WAL directory, behind a ShardRouter
-// that consistent-hashes agent_id onto shards via a HashRing.
+// snapshot cell, dedup state, and WAL directory, behind a ShardRouter that
+// consistent-hashes agent_id onto shards via a HashRing.
 //
 // The router is a round coordinator, not a Transport: each round it drains
 // the same wire frames a single server would from an ingress Transport (a
@@ -17,18 +17,17 @@
 // shard by shard (docs/DURABILITY.md).
 //
 // Concurrency model (docs/CONCURRENCY.md): each process() round is one
-// fork-join. The router routes the drained ingress batch into the owning
-// shards' queues, then submits each shard with work to that shard's own
-// one-worker ThreadPool and waits for all of them (with one shard the
-// round runs inline). Shards classify concurrently, each inside its own
-// DiscoveryServer::process() (rank kServerState) against its own
-// ShardTransport (rank kClusterShardQueue). After the join the router
-// thread sweeps each shard that ran: the frames it settled this round are
-// acknowledged upstream; the rest (malformed, held-window overflow, or
-// everything of a shard that threw) are dropped for the at-least-once
-// wire to redeliver — exactly the MessageBus disposition, one layer up.
-// Only then does a shard's exception reach the caller. Nothing per report
-// outlives the round.
+// fork-join. The router buckets the drained ingress batch by owning shard,
+// then submits each non-empty bucket to its shard's own one-worker
+// ThreadPool and waits for all of them (with one shard the round runs
+// inline). Shards classify concurrently, each inside its own
+// DiscoveryServer::settle() (rank kServerState), which returns the indices
+// of the bucket's frames to acknowledge. After the join the router thread
+// acks those frames upstream, from its own buckets; the rest (malformed,
+// held-window overflow, or everything of a shard that threw) are left for
+// the at-least-once wire to redeliver — exactly the MessageBus
+// disposition, one layer up. Only then does a shard's exception reach the
+// caller. Nothing per report outlives the round.
 #pragma once
 
 #include <atomic>
@@ -48,10 +47,6 @@
 #include "service/transport.hpp"
 
 namespace praxi::cluster {
-
-namespace detail {
-class ShardTransport;  // the per-shard queue + settled list (cpp-local)
-}  // namespace detail
 
 struct ClusterConfig {
   /// Shard count; the ring is pre-populated with shards 0..shards-1.
@@ -93,8 +88,8 @@ class ShardRouter {
   /// its owning shard, runs every shard with work concurrently, then
   /// acknowledges settled frames back on `ingress`. Returns this round's
   /// discoveries (shard-major, arrival order within a shard). When a shard
-  /// throws, the sweep still acks every settled frame and drops the rest,
-  /// then the first exception is rethrown. Call from one thread at a time.
+  /// throws, every other shard's settled frames are still acked, then the
+  /// first exception is rethrown. Call from one thread at a time.
   /// Throws TransportError after close().
   std::vector<service::Discovery> process(service::Transport& ingress);
 
@@ -103,9 +98,11 @@ class ShardRouter {
   /// after close.
   void close();
 
-  /// Cluster-wide totals: routed/settled/rejected frames plus the summed
-  /// shard-server outcomes (duplicates, malformed, overflow rejects) and
-  /// current queue depths. Safe to call concurrently.
+  /// Cluster-wide totals: routed (sent), settled (acked) and unsettled
+  /// (rejected) frames plus the summed shard-server outcomes (duplicates,
+  /// malformed, overflow rejects). No queue sits between the router and
+  /// its shards, so the delivered and pending fields stay zero. Safe to
+  /// call concurrently.
   service::TransportStats stats() const;
 
   /// Pulls every shard's inventory into one fleet view, stamped with the
@@ -113,9 +110,9 @@ class ShardRouter {
   MergedInventory merge_now();
 
   /// Simulates a shard crash + restart between rounds: the shard's
-  /// in-memory dedup state and queued-but-unprocessed frames die with it;
-  /// its WAL (when configured) replays into the replacement server, so
-  /// previously settled identities stay settled. Router-thread only.
+  /// in-memory dedup state dies with it; its WAL (when configured) replays
+  /// into the replacement server, so previously settled identities stay
+  /// settled. Router-thread only.
   void restart_shard(std::size_t shard);
 
   std::size_t shard_count() const { return shards_.size(); }
@@ -131,17 +128,18 @@ class ShardRouter {
 
  private:
   struct Shard {
-    std::unique_ptr<detail::ShardTransport> transport;
     std::unique_ptr<service::DiscoveryServer> server;
     /// This shard's one worker; null in a one-shard router (rounds run
     /// inline) and after close().
     std::unique_ptr<ThreadPool> pool;
+    /// praxi_cluster_{routed,settled,unsettled}_total{shard}.
+    obs::Counter* routed_total = nullptr;
+    obs::Counter* settled_total = nullptr;
+    obs::Counter* unsettled_total = nullptr;
   };
 
   std::unique_ptr<service::DiscoveryServer> make_server(std::size_t index);
   std::string shard_wal_dir(std::size_t index) const;
-  /// Routes one frame into its owning shard's queue.
-  void route(std::string wire_bytes);
 
   ClusterConfig config_;
   HashRing ring_;
@@ -160,6 +158,7 @@ class ShardRouter {
 
   obs::Gauge* imbalance_gauge_ = nullptr;
   obs::Counter* restarts_total_ = nullptr;
+  obs::Histogram* settle_seconds_ = nullptr;
 };
 
 }  // namespace praxi::cluster

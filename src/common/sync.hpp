@@ -36,9 +36,9 @@ namespace praxi::common {
 /// Values are spaced so future locks can slot between existing layers.
 enum class LockRank : int {
   /// DiscoveryServer ingest state: dedup trackers, inventory, per-agent
-  /// counters. Outermost — held across a whole process()/learn_feedback()
-  /// call while every deeper layer (store, pool, registry, WAL, transport)
-  /// is exercised.
+  /// counters. Outermost — held across a whole settle()/process()/
+  /// learn_feedback() call while every deeper layer (store, pool, registry,
+  /// WAL, and in process() the transport) is exercised.
   kServerState = 10,
   /// TagsetStore contents. Acquired under kServerState by
   /// learn_feedback(), which stores the labeled tagset; the settle path
@@ -69,14 +69,9 @@ enum class LockRank : int {
   /// SocketClient connection + resend-buffer state (serializes
   /// send/flush/close).
   kSocketClient = 60,
-  /// Per-shard ingest queue + settled list inside the cluster router's
-  /// inner ShardTransport (cluster/shard_router.hpp). Above kServerState
-  /// because the shard's DiscoveryServer calls drain()/ack() on it while
-  /// holding its own state lock — the same shape as kSocketServerState,
-  /// which the router-facing SocketServer keeps for the frontend.
-  kClusterShardQueue = 65,
-  /// SocketServer ingest queue. Acquired
-  /// under kServerState via Transport::drain()/ack().
+  /// SocketServer ingest queue. Acquired under kServerState via
+  /// DiscoveryServer::process()'s Transport::drain()/ack(), or with no lock
+  /// held when a cluster frontend is drained and acked by the ShardRouter.
   kSocketServerState = 70,
   /// SocketServer connection list (accept thread + close).
   kSocketServerConnections = 80,

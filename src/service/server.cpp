@@ -51,7 +51,7 @@ DiscoveryServer::DiscoveryServer(core::Praxi model, ServerConfig config)
   }
   process_seconds_ = &registry.histogram(
       "praxi_server_process_seconds",
-      "Latency of one process() drain-classify-commit cycle",
+      "Latency of one settle() or process() classify-commit cycle",
       obs::latency_buckets(), {{"server", server_label_}});
   discoveries_total_ = &registry.counter(
       "praxi_server_discoveries_total",
@@ -172,10 +172,24 @@ std::map<std::string, AgentIngestStats> DiscoveryServer::ingest_stats() const {
 std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
   obs::ScopedTimer process_timer(*process_seconds_);
   // Outermost lock (rank kServerState): held for the whole
-  // drain-classify-commit cycle; every deeper lock (store, pool, registry,
-  // WAL, transport) nests beneath it. docs/CONCURRENCY.md.
+  // drain-classify-commit-ack cycle; every deeper lock (store, pool,
+  // registry, WAL, transport) nests beneath it. docs/CONCURRENCY.md.
   common::LockGuard lock(state_mutex_);
+  const std::vector<std::string> frames = transport.drain();
+  Settlement settled = settle_locked(frames);
+  for (const std::size_t i : settled.acks) transport.ack(frames[i]);
+  return std::move(settled.discoveries);
+}
 
+DiscoveryServer::Settlement DiscoveryServer::settle(
+    std::span<const std::string> frames) {
+  obs::ScopedTimer process_timer(*process_seconds_);
+  common::LockGuard lock(state_mutex_);
+  return settle_locked(frames);
+}
+
+DiscoveryServer::Settlement DiscoveryServer::settle_locked(
+    std::span<const std::string> frames) {
   // Pin ONE model epoch for the whole batch (docs/API.md): every report in
   // this cycle is classified against the same immutable snapshot and
   // settled carrying its epoch number, so a batch is internally consistent
@@ -189,32 +203,32 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
   // time (phase 3) — so a throw during classification leaves no trace and
   // the unacked frames' resends are processed fresh (docs/DURABILITY.md).
   //
-  // Frames decode to validated views into `wires`, which lives until this
-  // call returns: ingest screens and extracts straight from the wire bytes
-  // and never builds an fs::Changeset.
+  // Frames decode to validated views into `frames`, which the caller keeps
+  // alive across this call: ingest screens and extracts straight from the
+  // wire bytes and never builds an fs::Changeset.
   struct PendingReport {
     Discovery discovery;
     fs::ChangesetView changeset;
-    const std::string* wire = nullptr;
+    std::size_t frame = 0;  ///< index into `frames`
     std::size_t n = 1;
     bool classify = false;     ///< non-empty, non-noise: goes into the batch
     std::size_t batch_index = 0;  ///< position among classified items
   };
   std::vector<PendingReport> pending;
-  const std::vector<std::string> wires = transport.drain();
-  // Frames to settle with transport.ack() once the batch commits. Every
-  // disposition settles EXCEPT malformed (a mangled frame may be a damaged
-  // copy of a report whose intact resend must still be accepted, so only
-  // the transport's own dedup — not this ack — may suppress it) and
-  // held-set overflow (never settled, so the wire redelivers it).
-  std::vector<const std::string*> settled;
-  settled.reserve(wires.size());
+  // Frames the caller acks once the batch commits. Every disposition
+  // settles EXCEPT malformed (a mangled frame may be a damaged copy of a
+  // report whose intact resend must still be accepted, so only the
+  // transport's own dedup — not this ack — may suppress it) and held-set
+  // overflow (never settled, so the wire redelivers it).
+  Settlement settled;
+  settled.acks.reserve(frames.size());
   // Identities staged this batch, to catch within-batch redelivery while
-  // the trackers stay untouched. Views into `wires`.
+  // the trackers stay untouched. Views into `frames`.
   std::set<std::pair<std::string_view, std::uint64_t>> staged;
   // Agents that showed up in this batch — exempt from idle eviction below.
   std::set<std::string_view> active_agents;
-  for (const std::string& wire : wires) {
+  for (std::size_t frame = 0; frame < frames.size(); ++frame) {
+    const std::string& wire = frames[frame];
     ReportView report;
     try {
       report = ChangesetReport::view_wire(wire);
@@ -224,7 +238,7 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
       // version (fleet mid-upgrade) — distinct from corruption. Resending
       // identical bytes cannot help, so the frame still settles.
       charge(sender_of(wire), Outcome::kVersionMismatch);
-      settled.push_back(&wire);
+      settled.acks.push_back(frame);
       continue;
       // praxi-lint: allow(data-plane-catch: charge() increments a counter)
     } catch (const SerializeError&) {
@@ -242,7 +256,7 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
       // agent restart replaying its journal). Exactly-once processing:
       // count it, settle it, skip it.
       charge(record, Outcome::kDuplicate);
-      settled.push_back(&wire);
+      settled.acks.push_back(frame);
       continue;
     }
     if (verdict == SequenceTracker::Admit::kReject) {
@@ -255,7 +269,7 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
     staged.insert({report.agent_id, report.sequence});
 
     PendingReport item;
-    item.wire = &wire;
+    item.frame = frame;
     item.discovery.agent_id = std::move(agent_id);
     item.discovery.sequence = report.sequence;
     item.discovery.open_time_ms = report.changeset.open_time_ms;
@@ -302,7 +316,7 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
   // deterministic regardless of thread count. Only now is
   // acceptance recorded (tracker + WAL), so everything before this line is
   // retryable.
-  std::vector<Discovery> discoveries;
+  std::vector<Discovery>& discoveries = settled.discoveries;
   discoveries.reserve(pending.size());
   for (auto& item : pending) {
     const std::string& agent_id = item.discovery.agent_id;
@@ -320,7 +334,7 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
                    SettleOutcome::kProcessed);
     }
     charge(record, Outcome::kProcessed);
-    settled.push_back(item.wire);
+    settled.acks.push_back(item.frame);
     if (!item.classify) continue;
     Discovery discovery = std::move(item.discovery);
     discovery.applications = std::move(predictions[item.batch_index]);
@@ -332,16 +346,15 @@ std::vector<Discovery> DiscoveryServer::process(Transport& transport) {
   discoveries_total_->inc(discoveries.size());
 
   // Settle-order contract (docs/DURABILITY.md): process → WAL append → ONE
-  // batched fsync → ack. A crash before commit() leaves every frame of the
-  // batch unacked (redelivered and deduplicated by the durable floor); a
-  // crash after it finds them durably settled.
+  // batched fsync → return → the caller acks. A crash before commit()
+  // leaves every frame of the batch unacked (redelivered and deduplicated
+  // by the durable floor); a crash after it finds them durably settled.
   if (wal_) wal_->commit();
-  for (const std::string* wire : settled) transport.ack(*wire);
 
   evict_idle_agents(active_agents);
   update_state_gauges();
   if (wal_ && wal_->wants_compaction()) wal_->compact(current_wal_state());
-  return discoveries;
+  return settled;
 }
 
 std::vector<std::string> DiscoveryServer::agents_running(

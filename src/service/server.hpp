@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,7 +57,7 @@ struct ServerConfig {
   /// WAL segment size that triggers snapshot+truncate compaction.
   std::size_t wal_segment_bytes = 4u << 20;
   /// Soft bound on resident per-agent SequenceTrackers (0 = unbounded).
-  /// When exceeded after a process() call, trackers of agents that were
+  /// When exceeded after a settle() call, trackers of agents that were
   /// idle this batch and hold no out-of-order sequences are folded down to
   /// their floor (a single u64 per agent — the irreducible dedup state,
   /// which can never be dropped without re-admitting duplicates) and
@@ -101,34 +102,46 @@ class DiscoveryServer {
   /// `model` must be trained.
   explicit DiscoveryServer(core::Praxi model, ServerConfig config = {});
 
-  /// Drains every queued report into one batch and classifies the batch
-  /// concurrently (ServerConfig::num_threads); returns the discoveries
-  /// made (one per non-noise window), in arrival order. Malformed messages
-  /// are counted and skipped, never fatal. Each report's tags are extracted
+  /// Which frames of one settle() batch to acknowledge, and what they
+  /// discovered.
+  struct Settlement {
+    /// One per non-noise window, in arrival order.
+    std::vector<Discovery> discoveries;
+    /// Indices into the batch of the frames the caller must acknowledge,
+    /// in settle order.
+    std::vector<std::size_t> acks;
+  };
+
+  /// Classifies `frames` as one batch, concurrently
+  /// (ServerConfig::num_threads), and settles it. Malformed messages are
+  /// counted and skipped, never fatal. Each report's tags are extracted
   /// exactly once, predicted from, and dropped: store() keeps only the
-  /// labeled tagsets learn_feedback() learned from.
-  /// The whole batch is classified against ONE pinned model snapshot
-  /// (core/model_snapshot.hpp) whose epoch every returned Discovery
-  /// carries, so a batch is internally consistent and WAL-settled against
-  /// a named model version.
+  /// labeled tagsets learn_feedback() learned from. The whole batch is
+  /// classified against ONE pinned model snapshot (core/model_snapshot.hpp)
+  /// whose epoch every returned Discovery carries.
   ///
-  /// Works against any Transport (the in-memory MessageBus or a
-  /// net::SocketServer). The transport may deliver at-least-once; this
-  /// method makes processing exactly-once by tracking each agent's report
-  /// sequence — a redelivered (agent, sequence) is counted as outcome
-  /// "duplicate" and skipped. Every dispositioned frame is settled with
-  /// transport.ack() EXCEPT malformed ones (a mangled frame may be a
-  /// damaged copy of a report whose intact resend must still be accepted)
-  /// and held-set overflow rejections (counted as outcome "overflow" and
-  /// left unacked for redelivery once the window drains).
+  /// The wire may deliver at-least-once; processing is exactly-once by each
+  /// agent's report sequence — a redelivered (agent, sequence) is counted
+  /// as outcome "duplicate" and skipped. Every dispositioned frame is in
+  /// `acks` EXCEPT malformed ones (a mangled frame may be a damaged copy of
+  /// a report whose intact resend must still be accepted) and held-set
+  /// overflow rejections (outcome "overflow", left unacked for redelivery
+  /// once the window drains).
   ///
-  /// Settle order (docs/DURABILITY.md): a report's acceptance is recorded —
-  /// tracker mutation, WAL append — only at commit time, after
-  /// classification succeeded; the batch is then fsynced (one fsync per
-  /// call when a WAL is configured) before any frame is acknowledged. A
-  /// crash at any point therefore either leaves a frame unacked (its
-  /// redelivery is deduplicated by the durable floor) or finds it settled —
-  /// never both-lost and re-learned.
+  /// Settle order (docs/DURABILITY.md): a report's acceptance — tracker
+  /// mutation, WAL append — is recorded only after classification
+  /// succeeded, and the batch is fsynced (one fsync per call when a WAL is
+  /// configured) before this returns, so every frame in `acks` is durable.
+  /// When it throws, the caller acknowledges no frame of the batch. A crash
+  /// at any point therefore either leaves a frame unacked (its redelivery
+  /// is deduplicated by the durable floor) or finds it settled — never
+  /// both-lost and re-learned.
+  Settlement settle(std::span<const std::string> frames)
+      PRAXI_EXCLUDES(state_mutex_);
+
+  /// drain() → settle() → ack() of each settled frame on `transport` (the
+  /// in-memory MessageBus or a net::SocketServer), all under the state
+  /// lock. Returns the batch's discoveries.
   std::vector<Discovery> process(Transport& transport)
       PRAXI_EXCLUDES(state_mutex_);
 
@@ -210,11 +223,14 @@ class DiscoveryServer {
   void evict_idle_agents(const std::set<std::string_view>& active_agents)
       PRAXI_REQUIRES(state_mutex_);
   void update_state_gauges() PRAXI_REQUIRES(state_mutex_);
+  /// The one batch body behind settle() and process().
+  Settlement settle_locked(std::span<const std::string> frames)
+      PRAXI_REQUIRES(state_mutex_);
 
   /// Outermost lock of the whole hierarchy (rank kServerState): held across
-  /// a full process()/learn_feedback() body, i.e. while the thread pool,
-  /// metrics registry, tagset store, WAL, and transport locks are taken
-  /// beneath it (docs/CONCURRENCY.md). Serializes ingest state AND
+  /// a full settle()/process()/learn_feedback() body, i.e. while the thread
+  /// pool, metrics registry, tagset store, WAL, and transport locks are
+  /// taken beneath it (docs/CONCURRENCY.md). Serializes ingest state AND
   /// model_/store_ mutation.
   mutable common::Mutex state_mutex_{"server_state",
                                      common::LockRank::kServerState};
@@ -242,7 +258,7 @@ class DiscoveryServer {
 };
 
 namespace testhooks {
-/// When true, process() throws after classification but before ANY settle
+/// When true, settle() throws after classification but before ANY settle
 /// effect (tracker mutation, WAL append, inventory commit, ack) —
 /// simulating a crash in the worst window. Drained-but-unacked frames are
 /// redelivered by the at-least-once wire and must then process cleanly,

@@ -187,6 +187,9 @@ TEST_F(CliTest, ServeAndReportRoundTripOverLoopback) {
   EXPECT_NE(out_.str().find("acknowledged 3 reports"), std::string::npos)
       << out_.str();
   EXPECT_EQ(serve_rc, 0) << serve_err.str();
+  EXPECT_EQ(serve_out.str().rfind("listening on 127.0.0.1:" + port + "\n", 0),
+            0u)
+      << serve_out.str();
   EXPECT_NE(serve_out.str().find("processed 3 reports"), std::string::npos)
       << serve_out.str();
   EXPECT_NE(serve_out.str().find("discover"), std::string::npos)
@@ -263,6 +266,42 @@ TEST_F(CliTest, ClusterRejectsMissingBoundAndZeroShards) {
   EXPECT_NE(err_.str().find("--shards must be >= 1"), std::string::npos)
       << err_.str();
   EXPECT_EQ(run_cli({"cluster", "--max-reports", "1"}), 2);  // no --model
+}
+
+TEST_F(CliTest, NumericFlagsRefuseWrapNegativeAndTrailingJunk) {
+  // Each refusal exits 2 naming the flag, before the (absent) model is
+  // loaded, so no listener, router or thread pool is ever built.
+  const std::string model = dir_ + "/absent.praxi";
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {
+          {{"serve", "--model", model, "--max-reports", "1", "--port",
+            "70000"},
+           "serve: --port must be an integer in [0, 65535], got '70000'"},
+          {{"cluster", "--model", model, "--max-reports", "1", "--port",
+            "70000"},
+           "cluster: --port must be an integer in [0, 65535]"},
+          {{"report", "--connect", "127.0.0.1:70000", dir_ + "/absent"},
+           "report: --connect port must be an integer in [0, 65535], got "
+           "'70000'"},
+          {{"cluster", "--model", model, "--max-reports", "1", "--shards",
+            "-1"},
+           "cluster: --shards must be an integer in [0, "},
+          {{"serve", "--model", model, "--max-reports", "1", "--threads",
+            "-1"},
+           "serve: --threads must be an integer in [0, "},
+          {{"predict", "--model", model, "--threads", "-1", dir_ + "/absent"},
+           "predict: --threads must be an integer"},
+          {{"cluster", "--model", model, "--max-reports", "1", "--shards",
+            "2x"},
+           "cluster: --shards must be an integer in [0, "},
+          {{"serve", "--model", model, "--duration-s", "-3"},
+           "serve: --duration-s must be a non-negative number, got '-3'"},
+      };
+  for (const auto& [args, message] : cases) {
+    EXPECT_EQ(run_cli(args), 2) << args[0] << ": " << err_.str();
+    EXPECT_NE(err_.str().find(message), std::string::npos) << err_.str();
+    EXPECT_TRUE(out_.str().empty()) << out_.str();
+  }
 }
 
 TEST_F(CliTest, UnknownFlagFailsWithUsage) {

@@ -4,7 +4,7 @@
 // ShardRouter's round contract (routing by ring with one or many shards,
 // ack-after-settle on the ingress, merged inventory with shard/epoch
 // attribution, concurrent socket agents behind one frontend, a shard's
-// exception reaching the caller after the sweep), and
+// exception reaching the caller after the other shards' acks), and
 // the cluster fault-matrix case — one shard restarts mid-stream under a
 // lossy wire and the merged outcome still converges to the clean
 // single-server run with zero acknowledged-report loss or duplication.
@@ -287,10 +287,11 @@ TEST_F(ShardRouterTest, RoutesByRingSettlesAndMatchesSingleServer) {
 }
 
 TEST_F(ShardRouterTest, ShardExceptionReachesTheCallerAfterTheSweep) {
-  // A shard whose process() throws (a WAL fsync or compaction failure; here
+  // A shard whose settle() throws (a WAL fsync or compaction failure; here
   // the crash hook) fails the round the way a single `serve` server does:
-  // the router still sweeps every shard that ran, leaving the failed
-  // frames unacked for the wire to redeliver, and only then rethrows.
+  // the router still acks every other shard's settled frames, leaving the
+  // failed frames unacked for the wire to redeliver, and only then
+  // rethrows.
   const auto reports = make_reports(6, 3);
   const auto reference = reference_run(reports);
 
@@ -434,6 +435,27 @@ TEST_F(ShardRouterTest, RoundAcksEachSettledFrameOnceAndNeverAMalformedOne) {
       "praxi_cluster_settle_seconds", "", obs::latency_buckets());
   ShardRouter router(*model_, cluster_config(2));
   const std::uint64_t settles_before = settle.count();
+  // Per-shard counters are process-global series: read them as deltas.
+  const auto shard_counter = [](const char* name, std::size_t shard) {
+    return &obs::MetricsRegistry::global().counter(
+        name, "", {{"shard", std::to_string(shard)}});
+  };
+  const char* const kSeries[] = {"praxi_cluster_routed_total",
+                                 "praxi_cluster_settled_total",
+                                 "praxi_cluster_unsettled_total"};
+  std::map<std::pair<std::string, std::size_t>, std::uint64_t> before;
+  for (const char* name : kSeries) {
+    for (std::size_t shard = 0; shard < 2; ++shard) {
+      before[{name, shard}] = shard_counter(name, shard)->value();
+    }
+  }
+  const auto delta = [&](const char* name, std::size_t shard) {
+    return shard_counter(name, shard)->value() - before[{name, shard}];
+  };
+  const auto owner = [&router](const std::string& wire) {
+    const auto identity = ChangesetReport::peek_identity(wire);
+    return router.shard_for(identity ? identity->agent_id : "");
+  };
   router.process(ingress);
 
   std::vector<std::string> expected = wires;
@@ -456,6 +478,19 @@ TEST_F(ShardRouterTest, RoundAcksEachSettledFrameOnceAndNeverAMalformedOne) {
   EXPECT_EQ(stats.duplicates, 1u);
   EXPECT_EQ(stats.pending_frames, 0u);
   EXPECT_EQ(settle.count() - settles_before, expected.size());
+
+  std::map<std::size_t, std::uint64_t> routed;
+  std::map<std::size_t, std::uint64_t> settled;
+  ++routed[owner(damaged)];
+  for (const auto& wire : expected) ++routed[owner(wire)];
+  for (const auto& wire : ingress.acked) ++settled[owner(wire)];
+  for (std::size_t shard = 0; shard < 2; ++shard) {
+    SCOPED_TRACE("shard " + std::to_string(shard));
+    EXPECT_EQ(delta("praxi_cluster_routed_total", shard), routed[shard]);
+    EXPECT_EQ(delta("praxi_cluster_settled_total", shard), settled[shard]);
+    EXPECT_EQ(delta("praxi_cluster_unsettled_total", shard),
+              shard == owner(damaged) ? 1u : 0u);
+  }
   router.close();
 }
 

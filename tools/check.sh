@@ -141,29 +141,25 @@ run_bench_smoke() {
 
 run_tsan() {
   # TSan proves the absence of data races, not just the absence of wrong
-  # answers, so it runs over every suite that hammers a concurrency
-  # promise, in one build-tsan tree, on whatever compiler builds it:
+  # answers, so it runs every case of every suite that hammers a
+  # concurrency promise — the ones tests/CMakeLists.txt labels
+  # `concurrency` — in one build-tsan tree, on whatever compiler builds it:
   #   obs_test       lock-free metric updates vs concurrent collect/render
   #   net_test       per-connection reader threads + accept loop draining
   #                  into one bounded queue while clients push
   #   wal_test,      the settle path's lock nesting (server state -> WAL
   #   transport_test -> metrics registry) through restarts and
-  #                  at-least-once redelivery (FaultMatrixTest)
+  #                  at-least-once redelivery
   #   snapshot_test  predict threads pinning epochs through the snapshot
   #                  cell while the trainer publishes
   #   cluster_test   the router's per-round fork-join over its shard pools,
   #                  fed by socket agents through one frontend
-  note "ThreadSanitizer: obs, net, wal, transport FaultMatrix, snapshot, \
-cluster ShardRouter"
+  note "ThreadSanitizer: ctest label concurrency (obs, net, wal, transport, \
+snapshot, cluster)"
   cmake -B build-tsan -S . -DPRAXI_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target obs_test net_test wal_test \
     transport_test snapshot_test cluster_test
-  ./build-tsan/tests/obs_test
-  ./build-tsan/tests/net_test
-  ./build-tsan/tests/wal_test
-  ./build-tsan/tests/transport_test --gtest_filter='FaultMatrixTest.*'
-  ./build-tsan/tests/snapshot_test
-  ./build-tsan/tests/cluster_test --gtest_filter='ShardRouterTest.*'
+  ctest --test-dir build-tsan -L concurrency --output-on-failure
 }
 
 run_format() {
